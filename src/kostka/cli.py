@@ -63,6 +63,8 @@ def parse_theta_entries(text):
     for item in data:
         if not isinstance(item, dict) or "size" not in item or "partition" not in item:
             raise ParseError('each entry needs "size" and "partition"')
+        if not isinstance(item["partition"], list):
+            raise ParseError('"partition" must be a JSON array')
         out.append((item["size"], tuple(item["partition"])))
     return tuple(out)
 
@@ -107,20 +109,17 @@ def _cmd_positive(args):
     return {"positive": ok}, ok
 
 
+def _shapes(args):
+    """--shape as a multipartition: JSON for the -multi subcommands, else
+    one comma-separated partition."""
+    if args.multi:
+        return parse_multipartition(args.shape)
+    return (parse_partition(args.shape),)
+
+
 def _cmd_mult_one(args):
-    cert = counting.is_multiplicity_one(
-        parse_partition(args.shape), parse_partition(args.weight)
-    )
-    doc = {"multiplicity_one": cert is not None}
-    if cert is not None:
-        doc["certificate"] = certificate_json(cert)
-    return doc, cert is not None
-
-
-def _cmd_mult_one_multi(args):
-    cert = counting.is_multiplicity_one_multi(
-        parse_multipartition(args.shape), parse_partition(args.weight)
-    )
+    shapes = _shapes(args)
+    cert = counting.is_multiplicity_one_multi(shapes, parse_partition(args.weight))
     doc = {"multiplicity_one": cert is not None}
     if cert is not None:
         doc["certificate"] = certificate_json(cert)
@@ -128,12 +127,7 @@ def _cmd_mult_one_multi(args):
 
 
 def _cmd_unique(args):
-    ok = counting.unique_weight(parse_partition(args.shape))
-    return {"unique_weight": ok}, ok
-
-
-def _cmd_unique_multi(args):
-    ok = counting.unique_weight_multi(parse_multipartition(args.shape))
+    ok = counting.unique_weight_multi(_shapes(args))
     return {"unique_weight": ok}, ok
 
 
@@ -202,7 +196,7 @@ def build_parser():
         p = sub.add_parser(name)
         for arg, kwargs in arguments.items():
             p.add_argument("--" + arg.replace("_", "-"), **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, multi=name.endswith("-multi"))
         return p
 
     shape_p = dict(required=True, help="partition, comma-separated")
@@ -221,15 +215,10 @@ def build_parser():
         exit_code=exit_code,
     )
     add("mult-one", _cmd_mult_one, shape=shape_p, weight=weight, exit_code=exit_code)
-    add(
-        "mult-one-multi",
-        _cmd_mult_one_multi,
-        shape=shape_m,
-        weight=weight,
-        exit_code=exit_code,
-    )
+    add("mult-one-multi", _cmd_mult_one, shape=shape_m, weight=weight,
+        exit_code=exit_code)
     add("unique", _cmd_unique, shape=shape_p, exit_code=exit_code)
-    add("unique-multi", _cmd_unique_multi, shape=shape_m, exit_code=exit_code)
+    add("unique-multi", _cmd_unique, shape=shape_m, exit_code=exit_code)
     add(
         "enumerate",
         _cmd_enumerate,

@@ -4,7 +4,8 @@ Counting goes through a memoized horizontal-strip recursion, exact at any
 size thanks to Python integers.  The multiplicity-one predicates never
 count: they run a single left-to-right scan that either produces a block
 certificate or reports failure, so they stay fast even for partitions with
-thousands of parts.
+thousands of parts.  Each single-partition predicate is the one-component
+case of its multipartition twin.
 """
 
 from functools import lru_cache
@@ -12,6 +13,7 @@ from functools import lru_cache
 from .errors import SizeMismatchError
 from .partitions import (
     bounded_compositions,
+    composition,
     dominates,
     normalize,
     normalize_multi,
@@ -53,10 +55,34 @@ def _inner_shapes(shape, m):
         yield tuple(v for v in nu if v > 0)
 
 
+def _split_count(entries, w):
+    """Sum over splits of w among (orbit size, shape) entries.
+
+    Entry (s, shape) takes a weight v, uses up s * v of w and contributes
+    the tableau count of shape and v; the products are summed over all
+    splits.  The last entry takes whatever weight the others leave, so it
+    costs one count and no enumeration.
+    """
+    if not entries:
+        return 0 if any(w) else 1
+    (s, shape), rest = entries[0], entries[1:]
+    if not rest:
+        if any(x % s for x in w):
+            return 0
+        return _strip_count(shape, tuple(x // s for x in w))
+    total = 0
+    for v in bounded_compositions(sum(shape), tuple(x // s for x in w)):
+        factor = _strip_count(shape, v)
+        if factor:
+            left = tuple(x - s * y for x, y in zip(w, v))
+            total += factor * _split_count(rest, left)
+    return total
+
+
 def kostka(shape, w):
     """Number of semistandard tableaux of the given shape and weight."""
     shape = normalize(shape)
-    w = tuple(int(x) for x in w)
+    w = composition(w)
     if sum(shape) != sum(w):
         raise SizeMismatchError(f"|{shape}| != |{w}|")
     return _strip_count(shape, w)
@@ -69,22 +95,10 @@ def kostka_multi(shapes, w):
     sizes, the product of the single-shape counts.
     """
     shapes = normalize_multi(shapes)
-    w = tuple(int(x) for x in w)
+    w = composition(w)
     if sum(sum(c) for c in shapes) != sum(w):
         raise SizeMismatchError(f"|{shapes}| != |{w}|")
-
-    def rec(j, remaining):
-        if j == len(shapes):
-            return 1 if all(x == 0 for x in remaining) else 0
-        total = 0
-        for v in bounded_compositions(sum(shapes[j]), remaining):
-            factor = _strip_count(shapes[j], v)
-            if factor:
-                rest = tuple(remaining[i] - v[i] for i in range(len(remaining)))
-                total += factor * rec(j + 1, rest)
-        return total
-
-    return rec(0, w)
+    return _split_count(tuple((1, c) for c in shapes), w)
 
 
 def is_positive(shapes, mu):
@@ -100,124 +114,58 @@ def is_positive(shapes, mu):
     return dominates(tilde(shapes), mu)
 
 
-class _BlockRuns:
-    """Run-length view of the block parts seen so far in one component.
-
-    A block prefix stays admissible only while it has at most two runs of
-    equal parts, and with two runs the first or the last run must have
-    length one (all parts equal but the last, or first part above a flat
-    tail).  Anything else can never extend to an admissible block.
-    """
-
-    __slots__ = ("runs",)
-
-    def __init__(self):
-        self.runs = []
-
-    def push(self, value):
-        if self.runs and self.runs[-1][0] == value:
-            self.runs[-1][1] += 1
-        else:
-            self.runs.append([value, 1])
-
-    def reset(self):
-        self.runs.clear()
-
-    @property
-    def is_rectangular(self):
-        return len(self.runs) <= 1
-
-    def admissible(self):
-        if len(self.runs) > 2:
-            return False
-        if len(self.runs) == 2:
-            return self.runs[0][1] == 1 or self.runs[1][1] == 1
-        return True
-
-
 def is_multiplicity_one(shape, weight):
     """Index certificate iff exactly one tableau of this shape/weight exists.
 
-    Greedy scan: grow the current block one row at a time, maintaining the
-    running dominance of the block and the two admissible block shapes;
-    cut a block as soon as its shape and weight sizes balance.  Returns
-    the tuple of cut indices (1-based, ending at the weight length), or
-    None when the count differs from one.
+    The one-component case of `is_multiplicity_one_multi`.
     """
-    shape = normalize(shape)
-    mu, _ = sort_to_partition(weight)
-    if sum(shape) != sum(mu):
-        raise SizeMismatchError(f"|{shape}| != |{mu}|")
-    if len(shape) > len(mu):
-        return None
-    lam = shape + (0,) * (len(mu) - len(shape))
-    indices = []
-    block = _BlockRuns()
-    lam_sum = mu_sum = 0
-    for i in range(len(mu)):
-        block.push(lam[i])
-        if not block.admissible():
-            return None
-        lam_sum += lam[i]
-        mu_sum += mu[i]
-        if lam_sum < mu_sum:
-            return None
-        if lam_sum == mu_sum:
-            indices.append(i + 1)
-            block.reset()
-            lam_sum = mu_sum = 0
-    if lam_sum != 0:
-        return None
-    return tuple(indices)
+    return is_multiplicity_one_multi((shape,), weight)
 
 
 def is_multiplicity_one_multi(shapes, weight):
     """Index certificate iff exactly one multitableau exists.
 
-    Same greedy scan as the single-partition case, with the block
-    conditions per component: within a block, at most one component may be
-    non-rectangular (in one of the two admissible near-rectangular forms)
-    and all others must be rectangular.
+    Greedy scan over the rows (the parts of every component at one index):
+    grow the current block one row at a time, keeping the running
+    dominance of the block, and cut it as soon as its shape and weight
+    sizes balance.  Within a block all components must be rectangles
+    except one, which may drop once: either right after the first row, or
+    at the row that closes the block.  So consecutive rows of a block
+    differ at most once, in one component.  Returns the tuple of cut
+    indices (1-based, ending at the weight length), or None when the count
+    differs from one.
     """
     shapes = normalize_multi(shapes)
     mu, _ = sort_to_partition(weight)
-    if sum(sum(c) for c in shapes) != sum(mu):
+    if sum(map(sum, shapes)) != sum(mu):
         raise SizeMismatchError(f"|{shapes}| != |{mu}|")
-    if any(len(c) > len(mu) for c in shapes):
-        return None
     l = len(mu)
-    padded = [c + (0,) * (l - len(c)) for c in shapes]
-    blocks = [_BlockRuns() for _ in shapes]
-    indices = []
-    lam_sum = mu_sum = 0
-    for i in range(l):
-        for j, b in enumerate(blocks):
-            b.push(padded[j][i])
-            if not b.admissible():
-                return None
-        if sum(1 for b in blocks if not b.is_rectangular) > 1:
-            return None
-        lam_sum += sum(padded[j][i] for j in range(len(shapes)))
-        mu_sum += mu[i]
-        if lam_sum < mu_sum:
-            return None
-        if lam_sum == mu_sum:
-            indices.append(i + 1)
-            for b in blocks:
-                b.reset()
-            lam_sum = mu_sum = 0
-    if lam_sum != 0:
+    if max(map(len, shapes), default=0) > l:
         return None
+    indices = []
+    start = balance = 0
+    first = prev = None  # the block's first row, and the row before this one
+    closing = False  # the block dropped late, so that row must close it
+    for i, row in enumerate(zip(*[c + (0,) * (l - len(c)) for c in shapes])):
+        if i == start:
+            first = row
+        elif row != prev:
+            if closing or first != prev:
+                return None
+            if sum(a != b for a, b in zip(row, prev)) > 1:
+                return None
+            closing = i > start + 1
+        elif closing:
+            return None
+        balance += sum(row) - mu[i]
+        if balance < 0:
+            return None
+        if balance == 0:
+            indices.append(i + 1)
+            start = i + 1
+            closing = False
+        prev = row
     return tuple(indices)
-
-
-def _block_shape_ok(parts):
-    """Condition (2) on a single-partition block, straight from its statement."""
-    if len(parts) <= 1:
-        return True
-    head_flat = all(p == parts[0] for p in parts[:-1])
-    tail_flat = parts[0] > parts[1] and all(p == parts[1] for p in parts[1:])
-    return head_flat or tail_flat
 
 
 def _block_prefix_dominates(a, b):
@@ -230,76 +178,50 @@ def _block_prefix_dominates(a, b):
     return sa == sb
 
 
-def verify_certificate(shape, mu, indices):
-    """Re-check a single-partition certificate block by block.
-
-    Deliberately independent of the scan: slices the blocks out and tests
-    the dominance and shape conditions directly against their definitions.
-    """
-    shape = normalize(shape)
-    mu = normalize(mu)
-    indices = tuple(indices)
-    if len(mu) == 0:
-        return indices == () and shape == ()
-    if list(indices) != sorted(set(indices)) or not indices or indices[-1] != len(mu):
-        return False
-    if any(i < 1 for i in indices):
-        return False
-    lam = shape + (0,) * (len(mu) - len(shape))
-    if len(lam) != len(mu):
-        return False
-    prev = 0
-    for cut in indices:
-        lam_block = lam[prev:cut]
-        mu_block = mu[prev:cut]
-        if not _block_prefix_dominates(lam_block, mu_block):
-            return False
-        if not _block_shape_ok(lam_block):
-            return False
-        prev = cut
-    return True
-
-
-def _multi_block_shape_ok(component_blocks):
-    """Condition (2) on a multipartition block: one near-rectangle at most."""
+def _block_shape_ok(component_blocks):
+    """Condition (2) on a block: every component a rectangle, except at
+    most one that is a rectangle with its first part longer or its last
+    part shorter.  Components are weakly decreasing, so each of these is
+    decided by comparing two parts."""
     irregular = 0
     for parts in component_blocks:
-        if all(p == parts[0] for p in parts):
+        if parts[0] == parts[-1]:
             continue
-        near_last = (
-            all(p == parts[0] for p in parts[:-1]) and parts[-1] < parts[0]
-        )
-        near_first = (
-            parts[0] > parts[1] and all(p == parts[1] for p in parts[1:])
-        )
-        if not (near_last or near_first):
+        if parts[1] != parts[-1] and parts[0] != parts[-2]:
             return False
         irregular += 1
     return irregular <= 1
 
 
+def verify_certificate(shape, mu, indices):
+    """Re-check a single-partition certificate: the one-component case."""
+    return verify_certificate_multi((shape,), mu, indices)
+
+
 def verify_certificate_multi(shapes, mu, indices):
-    """Re-check a multipartition certificate block by block."""
+    """Re-check a multipartition certificate block by block.
+
+    Deliberately independent of the scan: slices the blocks out and tests
+    the dominance and shape conditions directly against their definitions.
+    """
     shapes = normalize_multi(shapes)
-    mu = normalize(mu)
+    mu, _ = sort_to_partition(mu)
     indices = tuple(indices)
-    if len(mu) == 0:
-        return indices == () and all(c == () for c in shapes)
-    if list(indices) != sorted(set(indices)) or not indices or indices[-1] != len(mu):
-        return False
-    if any(i < 1 for i in indices):
-        return False
     l = len(mu)
-    if any(len(c) > l for c in shapes):
+    if l == 0:
+        return indices == () and all(c == () for c in shapes)
+    if list(indices) != sorted(set(indices)) or indices[0] < 1 or indices[-1] != l:
+        return False
+    if not shapes or any(len(c) > l for c in shapes):
         return False
     padded = [c + (0,) * (l - len(c)) for c in shapes]
+    row_sums = list(map(sum, zip(*padded)))
     prev = 0
     for cut in indices:
-        comp_blocks = [p[prev:cut] for p in padded]
-        tilde_block = tuple(sum(p[i] for p in padded) for i in range(prev, cut))
-        if not _block_prefix_dominates(tilde_block, mu[prev:cut]):
+        if not _block_prefix_dominates(row_sums[prev:cut], mu[prev:cut]):
             return False
-        if not _multi_block_shape_ok(comp_blocks):
+        # a one-row block is a rectangle in every component
+        if cut - prev > 1 and not _block_shape_ok([p[prev:cut] for p in padded]):
             return False
         prev = cut
     return True
@@ -308,13 +230,10 @@ def verify_certificate_multi(shapes, mu, indices):
 def unique_weight(shape):
     """True iff the shape itself is the only weight giving a unique tableau.
 
-    Holds exactly when consecutive parts (and the last part against zero)
-    differ by at most one.
+    The one-component case of `unique_weight_multi`: consecutive parts
+    (and the last part against zero) differ by at most one.
     """
-    shape = normalize(shape)
-    return all(
-        part(shape, i) - part(shape, i + 1) <= 1 for i in range(len(shape))
-    )
+    return unique_weight_multi((shape,))
 
 
 def unique_weight_multi(shapes):
@@ -324,13 +243,9 @@ def unique_weight_multi(shapes):
     least two components drop there.
     """
     shapes = normalize_multi(shapes)
-    summed = tilde(shapes)
-    for i in range(len(summed)):
-        if part(summed, i) - part(summed, i + 1) <= 1:
-            continue
-        droppers = sum(
-            1 for c in shapes if part(c, i) - part(c, i + 1) >= 1
-        )
-        if droppers < 2:
+    depth = max(map(len, shapes), default=0) + 1
+    rows = list(zip(*[c + (0,) * (depth - len(c)) for c in shapes]))
+    for upper, lower in zip(rows, rows[1:]):
+        if sum(upper) - sum(lower) > 1 and sum(a > b for a, b in zip(upper, lower)) < 2:
             return False
     return True

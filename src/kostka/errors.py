@@ -9,6 +9,10 @@ class NegativeEntryError(KostkaError):
     """A partition or composition entry was negative."""
 
 
+class NonIntegerEntryError(KostkaError):
+    """A partition, composition or orbit-size entry was not an integer."""
+
+
 class NonMonotoneError(KostkaError):
     """A partition's parts increased after zero-stripping."""
 

@@ -7,16 +7,23 @@ multiplicities depend on nothing else.  The weight here must be a
 partition; no composition normalization is applied.
 """
 
-from .counting import _strip_count, is_multiplicity_one_multi
+from .counting import _split_count, is_multiplicity_one_multi
 from .errors import EmptyShapeError, SizeMismatchError, UnequalOrbitSizesError
-from .partitions import bounded_compositions, dominates, normalize, sort_to_partition
+from .partitions import (
+    bounded_compositions,
+    composition,
+    dominates,
+    normalize,
+    sort_to_partition,
+)
 
 
 def normalize_entries(entries):
     """Validated tuple of (orbit size, partition) pairs."""
+    entries = tuple(entries)
+    sizes = composition([orbit_size for orbit_size, _ in entries])
     out = []
-    for orbit_size, shape in entries:
-        orbit_size = int(orbit_size)
+    for orbit_size, (_, shape) in zip(sizes, entries):
         if orbit_size < 1:
             raise EmptyShapeError(f"orbit size {orbit_size} must be positive")
         shape = normalize(shape)
@@ -40,24 +47,7 @@ def theta_kostka(entries, mu):
     mu = normalize(mu)
     if theta_size(entries) != sum(mu):
         raise SizeMismatchError(f"entries total {theta_size(entries)} != |{mu}|")
-    l = len(mu)
-
-    def rec(k, remaining):
-        if k == len(entries):
-            return 1 if all(x == 0 for x in remaining) else 0
-        orbit_size, shape = entries[k]
-        caps = tuple(x // orbit_size for x in remaining)
-        total = 0
-        for v in bounded_compositions(sum(shape), caps):
-            factor = _strip_count(shape, v)
-            if factor:
-                rest = tuple(
-                    remaining[i] - orbit_size * v[i] for i in range(l)
-                )
-                total += factor * rec(k + 1, rest)
-        return total
-
-    return rec(0, mu)
+    return _split_count(entries, mu)
 
 
 def theta_positive(entries, mu):

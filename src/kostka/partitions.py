@@ -7,20 +7,35 @@ allowed).  All operations accept zero-padded input and strip zeros on
 normalization, so equality stays structural.
 """
 
-from .errors import NegativeEntryError, NonMonotoneError, SizeMismatchError
+from operator import index, lt
 
-Partition = tuple
-Composition = tuple
-Multipartition = tuple
+from .errors import (
+    NegativeEntryError,
+    NonIntegerEntryError,
+    NonMonotoneError,
+    SizeMismatchError,
+)
+
+
+def composition(raw):
+    """Tuple of non-negative integers: the one check on every input entry.
+
+    Entries must be integers (anything `operator.index` accepts); floats,
+    strings and nested lists are refused rather than truncated.
+    """
+    try:
+        parts = tuple(map(index, raw))
+    except TypeError:
+        raise NonIntegerEntryError(f"entries must be integers: {raw!r}") from None
+    if min(parts, default=0) < 0:
+        raise NegativeEntryError(f"negative part in {parts}")
+    return parts
 
 
 def normalize(raw):
     """Canonical partition: zeros stripped, weakly decreasing enforced."""
-    parts = tuple(int(p) for p in raw)
-    if any(p < 0 for p in parts):
-        raise NegativeEntryError(f"negative part in {parts}")
-    parts = tuple(p for p in parts if p > 0)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    parts = tuple(p for p in composition(raw) if p > 0)
+    if any(map(lt, parts, parts[1:])):
         raise NonMonotoneError(f"parts increase in {parts}")
     return parts
 
@@ -28,14 +43,6 @@ def normalize(raw):
 def normalize_multi(components):
     """Canonical multipartition: each component normalized, order kept."""
     return tuple(normalize(c) for c in components)
-
-
-def size(p):
-    return sum(p)
-
-
-def multi_size(m):
-    return sum(sum(c) for c in m)
 
 
 def part(p, i):
@@ -91,10 +98,8 @@ def sort_to_partition(w):
     The permutation lists original indices in decreasing order of value,
     ties keeping input order; the returned partition drops zero parts.
     """
-    w = tuple(int(x) for x in w)
-    if any(x < 0 for x in w):
-        raise NegativeEntryError(f"negative part in {w}")
-    order = tuple(sorted(range(len(w)), key=lambda i: (-w[i], i)))
+    w = composition(w)
+    order = tuple(sorted(range(len(w)), key=w.__getitem__, reverse=True))
     partition = tuple(w[i] for i in order if w[i] > 0)
     return partition, order
 

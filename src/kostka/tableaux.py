@@ -12,6 +12,8 @@ from itertools import product
 from .errors import NotDominatedError, ShapeMismatchError, SizeMismatchError
 from .partitions import (
     bounded_compositions,
+    composition,
+    conjugate,
     dominates,
     normalize,
     normalize_multi,
@@ -89,12 +91,6 @@ def greedy_tableau(shape, mu):
     return tuple(tuple(r) for r in rows)
 
 
-def _column_lengths(shape):
-    if not shape:
-        return ()
-    return tuple(sum(1 for row in shape if row > c) for c in range(shape[0]))
-
-
 def redistribute_columns(rows, target):
     """Split a tableau's columns into a multitableau of the target shape.
 
@@ -111,7 +107,7 @@ def redistribute_columns(rows, target):
     needed = []
     for comp in target:
         counts = {}
-        for length in _column_lengths(comp):
+        for length in conjugate(comp):
             counts[length] = counts.get(length, 0) + 1
         needed.append(counts)
     assigned = [[] for _ in target]
@@ -175,7 +171,7 @@ def enumerate_tableaux(shape, w):
     is the Kostka number.
     """
     shape = normalize(shape)
-    w = tuple(int(x) for x in w)
+    w = composition(w)
     if sum(shape) != sum(w):
         raise SizeMismatchError(f"|{shape}| != |{w}|")
     results = []
@@ -199,7 +195,7 @@ def enumerate_multitableaux(shapes, w):
     sequences.
     """
     shapes = normalize_multi(shapes)
-    w = tuple(int(x) for x in w)
+    w = composition(w)
     if sum(sum(c) for c in shapes) != sum(w):
         raise SizeMismatchError(f"|{shapes}| != |{w}|")
     sizes = [sum(c) for c in shapes]

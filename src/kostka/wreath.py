@@ -16,9 +16,9 @@ from .errors import InvalidDivisorError
 from .partitions import (
     conjugate,
     dominates,
+    multipartitions_of,
     normalize,
     normalize_multi,
-    partitions_of,
     tilde,
 )
 
@@ -55,20 +55,10 @@ def irreducible_degree(label):
 
 def _allowed_labels(r, d, n):
     """Labels with component j empty unless d divides j - 1."""
-    allowed = [j for j in range(r) if j % d == 0]
-
-    def assign(slots, remaining):
-        if not slots:
-            if remaining == 0:
-                yield {}
-            return
-        for head_size in range(remaining, -1, -1):
-            for head in partitions_of(head_size):
-                for rest in assign(slots[1:], remaining - head_size):
-                    yield {slots[0]: head, **rest}
-
-    for chosen in assign(allowed, n):
-        yield tuple(chosen.get(j, ()) for j in range(r))
+    for heads in multipartitions_of(n, r // d):
+        label = [()] * r
+        label[::d] = heads
+        yield tuple(label)
 
 
 def decompose_permutation_character(r, d, mu):

@@ -191,6 +191,24 @@ def test_parse_error_exits_two(capsys):
     assert err["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-multi", "--shape", '[["a"]]', "--weight", "1"],
+        ["unique-multi", "--shape", '[["z"]]'],
+        ["count-multi", "--shape", "[[1.5]]", "--weight", "1"],
+        ["ggg-count", "--entries", '[{"size":"x","partition":[1]}]', "--mu", "1"],
+        ["ggg-count", "--entries", '[{"size":1,"partition":3}]', "--mu", "3"],
+        ["ggg-positive", "--entries", '[{"size":1,"partition":[[1]]}]', "--mu", "1"],
+    ],
+)
+def test_malformed_entries_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] in {"ParseError", "NonIntegerEntryError"}
+
+
 def test_counts_are_decimal_strings(capsys):
     # large counts survive JSON round trips exactly
     _, out, _ = run(

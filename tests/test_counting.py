@@ -13,7 +13,7 @@ from kostka.counting import (
     verify_certificate,
     verify_certificate_multi,
 )
-from kostka.errors import SizeMismatchError
+from kostka.errors import NegativeEntryError, NonIntegerEntryError, SizeMismatchError
 from kostka.partitions import (
     dominates,
     multipartitions_of,
@@ -45,6 +45,17 @@ def test_kostka_size_mismatch():
         is_positive(((1,),), (2,))
     with pytest.raises(SizeMismatchError):
         is_multiplicity_one((2,), (1,))
+
+
+def test_counts_reject_bad_entries():
+    with pytest.raises(NonIntegerEntryError):
+        kostka((2.5,), (2.5,))
+    with pytest.raises(NonIntegerEntryError):
+        kostka_multi(((1,),), (1.0,))
+    with pytest.raises(NegativeEntryError):
+        kostka((1,), (2, -1))
+    with pytest.raises(NegativeEntryError):
+        kostka_multi(((1,),), (2, -1))
 
 
 def test_kostka_matches_enumeration():
@@ -148,8 +159,14 @@ def test_multiplicity_one_multi_iff_count_one():
 
 
 def test_multiplicity_one_accepts_compositions():
-    # predicates normalize the weight to a partition first
-    assert is_multiplicity_one((3, 1), (1, 3)) == is_multiplicity_one((3, 1), (3, 1))
+    # predicates and verifiers normalize the weight to a partition first
+    cert = is_multiplicity_one((3, 1), (1, 3))
+    assert cert == is_multiplicity_one((3, 1), (3, 1)) == (1, 2)
+    assert verify_certificate((3, 1), (1, 3), cert)
+    shapes = ((2, 1, 1), (2, 2), (4,))
+    cert = is_multiplicity_one_multi(shapes, (1, 3, 8))
+    assert cert is not None
+    assert verify_certificate_multi(shapes, (3, 1, 8), cert)
 
 
 def test_verify_rejects_bad_certificates():
@@ -157,6 +174,29 @@ def test_verify_rejects_bad_certificates():
     assert not verify_certificate((6, 3, 3), (5, 4, 3), (1, 3))  # block (3,3) vs (4,3)
     assert not verify_certificate((6, 3, 3), (5, 4, 3), (2,))  # does not end at l
     assert not verify_certificate_multi(((1,), (1,)), (1, 1), (2,))
+
+
+def _cut_tuples(length):
+    """Every strictly increasing tuple of cut indices ending at length."""
+    for mask in range(1 << (length - 1)):
+        yield tuple(i for i in range(1, length) if mask >> (i - 1) & 1) + (length,)
+
+
+def test_verifier_sound_on_every_cut_tuple():
+    # whatever certificate the verifier accepts, the count must be one
+    checked = 0
+    for r, top in ((1, 8), (2, 6), (3, 5)):
+        for n in range(1, top + 1):
+            for shapes in multipartitions_of(n, r):
+                for mu in partitions_of(n):
+                    for cuts in _cut_tuples(len(mu)):
+                        ok = verify_certificate_multi(shapes, mu, cuts)
+                        if r == 1:
+                            assert verify_certificate(shapes[0], mu, cuts) == ok
+                        if ok:
+                            assert kostka_multi(shapes, mu) == 1, (shapes, mu, cuts)
+                        checked += 1
+    assert checked == 24317
 
 
 def test_unique_weight_examples():

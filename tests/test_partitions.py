@@ -2,8 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kostka.errors import NegativeEntryError, NonMonotoneError, SizeMismatchError
+from kostka.errors import (
+    NegativeEntryError,
+    NonIntegerEntryError,
+    NonMonotoneError,
+    SizeMismatchError,
+)
 from kostka.partitions import (
+    composition,
     conjugate,
     dominates,
     is_horizontal_strip,
@@ -35,6 +41,20 @@ def test_normalize_rejects_increase():
 def test_normalize_rejects_negative():
     with pytest.raises(NegativeEntryError):
         normalize([3, -1])
+
+
+def test_composition_checks_every_entry():
+    assert composition([3, 0, 1]) == (3, 0, 1)
+    assert composition(()) == ()
+    with pytest.raises(NegativeEntryError):
+        composition((1, -1))
+    for bad in ((2.5,), (1.0,), ("3",), ([1],), 3):
+        with pytest.raises(NonIntegerEntryError):
+            composition(bad)
+    with pytest.raises(NonIntegerEntryError):
+        normalize([2, 1.5])
+    with pytest.raises(NonIntegerEntryError):
+        sort_to_partition(["1"])
 
 
 def test_dominates_examples():
