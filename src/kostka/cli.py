@@ -81,26 +81,6 @@ def certificate_json(indices):
     return {"indices": list(indices)}
 
 
-def _cmd_count(args):
-    shape = parse_partition(args.shape)
-    w = parse_partition(args.weight)
-    if args.oracle:
-        n = len(tableaux.enumerate_tableaux(shape, w))
-    else:
-        n = counting.kostka(shape, w)
-    return {"kostka": str(n)}, None
-
-
-def _cmd_count_multi(args):
-    shape = parse_multipartition(args.shape)
-    w = parse_partition(args.weight)
-    if args.oracle:
-        n = len(tableaux.enumerate_multitableaux(shape, w))
-    else:
-        n = counting.kostka_multi(shape, w)
-    return {"kostka": str(n)}, None
-
-
 def _cmd_positive(args):
     shape, is_multi = parse_shape_arg(args.shape)
     if not is_multi:
@@ -115,6 +95,16 @@ def _shapes(args):
     if args.multi:
         return parse_multipartition(args.shape)
     return (parse_partition(args.shape),)
+
+
+def _cmd_count(args):
+    shapes = _shapes(args)
+    w = parse_partition(args.weight)
+    if args.oracle:
+        n = len(tableaux.enumerate_multitableaux(shapes, w))
+    else:
+        n = counting.kostka_multi(shapes, w)
+    return {"kostka": str(n)}, None
 
 
 def _cmd_mult_one(args):
@@ -206,7 +196,7 @@ def build_parser():
     oracle = dict(action="store_true", help="count by enumeration instead")
 
     add("count", _cmd_count, shape=shape_p, weight=weight, oracle=oracle)
-    add("count-multi", _cmd_count_multi, shape=shape_m, weight=weight, oracle=oracle)
+    add("count-multi", _cmd_count, shape=shape_m, weight=weight, oracle=oracle)
     add(
         "positive",
         _cmd_positive,

@@ -1,104 +1,99 @@
 """Kostka numbers and the fast positivity / multiplicity-one predicates.
 
-Counting goes through a memoized horizontal-strip recursion, exact at any
-size thanks to Python integers.  The multiplicity-one predicates never
-count: they run a single left-to-right scan that either produces a block
-certificate or reports failure, so they stay fast even for partitions with
-thousands of parts.  Each single-partition predicate is the one-component
-case of its multipartition twin.
+Single, multipartition and orbit-weighted (Theta) counts share one
+memoized recursion, exact at any size thanks to Python integers: the last
+letter of the weight fills one horizontal strip in every component, the
+strip sizes times the orbit sizes summing to its multiplicity.  The
+multiplicity-one predicates never count: they run a single left-to-right
+scan that either produces a block certificate or reports failure, so they
+stay fast even for partitions with thousands of parts.  Each
+single-partition predicate is the one-component case of its
+multipartition twin.
 """
 
 from functools import lru_cache
 
 from .errors import SizeMismatchError
 from .partitions import (
-    bounded_compositions,
     composition,
     dominates,
-    normalize,
+    integers,
     normalize_multi,
-    part,
     sort_to_partition,
     tilde,
 )
 
 
 @lru_cache(maxsize=None)
-def _strip_count(shape, w):
+def _strip_count(sizes, shapes, w):
+    """Fillings of the shapes of weight w, a letter in shapes[j] counting
+    sizes[j] times."""
     while w and w[-1] == 0:
         w = w[:-1]
     if not w:
-        return 1 if not shape else 0
-    m = w[-1]
+        return 0 if any(shapes) else 1
     total = 0
-    for inner in _inner_shapes(shape, m):
-        total += _strip_count(inner, w[:-1])
+    for inner in _inner_multi(sizes, shapes, w[-1]):
+        total += _strip_count(sizes, inner, w[:-1])
     return total
+
+
+def _inner_multi(sizes, shapes, m):
+    """Every tuple of nu^j, shapes[j]/nu^j a horizontal k_j-strip, with the
+    sum of sizes[j] * k_j equal to m.  A strip has at most one box per
+    column, so k_j is at most the first part; the last shape takes what the
+    others leave."""
+    s, shape = sizes[0], shapes[0]
+    top = min(shape[0] if shape else 0, m // s)
+    if len(shapes) == 1:
+        return [(nu,) for nu in _inner_shapes(shape, top)] if m == s * top else []
+    out = []
+    for k in range(top + 1):
+        rests = _inner_multi(sizes[1:], shapes[1:], m - s * k)
+        if rests:
+            out += [(nu,) + rest for nu in _inner_shapes(shape, k) for rest in rests]
+    return out
 
 
 def _inner_shapes(shape, m):
-    """All nu contained in shape with shape/nu a horizontal m-strip."""
-    n_rows = len(shape)
-
-    def rec(i, remaining):
-        if i == n_rows:
-            if remaining == 0:
-                yield ()
-            return
-        hi = shape[i]
-        lo = max(part(shape, i + 1), hi - remaining)
-        for v in range(hi, lo - 1, -1):
-            for rest in rec(i + 1, remaining - (hi - v)):
-                yield (v,) + rest
-
-    for nu in rec(0, m):
-        yield tuple(v for v in nu if v > 0)
+    """All nu with shape/nu a horizontal m-strip: row i keeps between
+    shape[i + 1] and shape[i] boxes, so only the last row can empty."""
+    out = [((), m)]
+    for hi, lo in zip(shape, shape[1:] + (0,)):
+        out = [
+            (nu + (v,), r - hi + v)
+            for nu, r in out
+            for v in range(hi, max(lo, hi - r) - 1, -1)
+        ]
+    return [nu[:-1] if nu and not nu[-1] else nu for nu, r in out if r == 0]
 
 
-def _split_count(entries, w):
-    """Sum over splits of w among (orbit size, shape) entries.
+def _count(entries, w):
+    """The one way into the engine: (orbit size, shape) entries, weight w.
 
-    Entry (s, shape) takes a weight v, uses up s * v of w and contributes
-    the tableau count of shape and v; the products are summed over all
-    splits.  The last entry takes whatever weight the others leave, so it
-    costs one count and no enumeration.
+    The count is symmetric in the entries, so empty shapes are dropped and
+    the rest sorted: every order of the same entries shares cache states.
     """
-    if not entries:
-        return 0 if any(w) else 1
-    (s, shape), rest = entries[0], entries[1:]
-    if not rest:
-        if any(x % s for x in w):
-            return 0
-        return _strip_count(shape, tuple(x // s for x in w))
-    total = 0
-    for v in bounded_compositions(sum(shape), tuple(x // s for x in w)):
-        factor = _strip_count(shape, v)
-        if factor:
-            left = tuple(x - s * y for x, y in zip(w, v))
-            total += factor * _split_count(rest, left)
-    return total
+    sizes, shapes = tuple(zip(*sorted(e for e in entries if e[1]))) or ((), ())
+    return _strip_count(sizes, shapes, w)
 
 
 def kostka(shape, w):
     """Number of semistandard tableaux of the given shape and weight."""
-    shape = normalize(shape)
-    w = composition(w)
-    if sum(shape) != sum(w):
-        raise SizeMismatchError(f"|{shape}| != |{w}|")
-    return _strip_count(shape, w)
+    return kostka_multi((shape,), w)
 
 
 def kostka_multi(shapes, w):
     """Number of semistandard multitableaux of the given shape and weight.
 
-    Sums, over all splits of w into per-component weights of the right
-    sizes, the product of the single-shape counts.
+    Each letter fills one horizontal strip in every component, the strip
+    sizes summing to its multiplicity in w.
     """
     shapes = normalize_multi(shapes)
     w = composition(w)
-    if sum(sum(c) for c in shapes) != sum(w):
+    if sum(map(sum, shapes)) != sum(w):
         raise SizeMismatchError(f"|{shapes}| != |{w}|")
-    return _split_count(tuple((1, c) for c in shapes), w)
+    return _count([(1, c) for c in shapes], w)
 
 
 def is_positive(shapes, mu):
@@ -203,10 +198,11 @@ def verify_certificate_multi(shapes, mu, indices):
 
     Deliberately independent of the scan: slices the blocks out and tests
     the dominance and shape conditions directly against their definitions.
+    Indices must be integers; out-of-range ones make the check fail.
     """
     shapes = normalize_multi(shapes)
     mu, _ = sort_to_partition(mu)
-    indices = tuple(indices)
+    indices = integers(indices)
     l = len(mu)
     if l == 0:
         return indices == () and all(c == () for c in shapes)

@@ -3,17 +3,18 @@
 An orbit-weighted multipartition is a sequence of (orbit size, partition)
 entries with nonempty partitions; each entry's tableau weight counts with
 its orbit size as multiplier.  Orbits are modeled by their sizes only: the
-multiplicities depend on nothing else.  The weight here must be a
-partition; no composition normalization is applied.
+multiplicities depend on nothing else.  The counts are symmetric in the
+weight, so a composition weight is sorted to a partition first, as in
+`kostka.counting`.
 """
 
-from .counting import _split_count, is_multiplicity_one_multi
+from .counting import _count, is_multiplicity_one_multi
 from .errors import EmptyShapeError, SizeMismatchError, UnequalOrbitSizesError
 from .partitions import (
     bounded_compositions,
     composition,
     dominates,
-    normalize,
+    normalize_multi,
     sort_to_partition,
 )
 
@@ -22,32 +23,36 @@ def normalize_entries(entries):
     """Validated tuple of (orbit size, partition) pairs."""
     entries = tuple(entries)
     sizes = composition([orbit_size for orbit_size, _ in entries])
-    out = []
-    for orbit_size, (_, shape) in zip(sizes, entries):
-        if orbit_size < 1:
-            raise EmptyShapeError(f"orbit size {orbit_size} must be positive")
-        shape = normalize(shape)
-        if not shape:
-            raise EmptyShapeError("orbit entries must carry a nonempty partition")
-        out.append((orbit_size, shape))
-    return tuple(out)
+    if 0 in sizes:
+        raise EmptyShapeError("orbit size 0 must be positive")
+    shapes = normalize_multi(shape for _, shape in entries)
+    if () in shapes:
+        raise EmptyShapeError("orbit entries must carry a nonempty partition")
+    return tuple(zip(sizes, shapes))
 
 
 def theta_size(entries):
     return sum(s * sum(shape) for s, shape in normalize_entries(entries))
 
 
+def _checked(entries, mu):
+    """Validated entries, and the weight sorted to a partition of their total."""
+    entries = normalize_entries(entries)
+    mu, _ = sort_to_partition(mu)
+    total = sum(s * sum(shape) for s, shape in entries)
+    if total != sum(mu):
+        raise SizeMismatchError(f"entries total {total} != |{mu}|")
+    return entries, mu
+
+
 def theta_kostka(entries, mu):
     """Number of orbit-weighted multitableaux of this shape and weight.
 
-    Sums over tuples of per-entry weight vectors whose orbit-size-weighted
-    coordinate-wise sum is mu, the product of per-entry tableau counts.
+    Each letter fills one horizontal strip per entry, the strip sizes
+    times the orbit sizes summing to its multiplicity in mu.
     """
-    entries = normalize_entries(entries)
-    mu = normalize(mu)
-    if theta_size(entries) != sum(mu):
-        raise SizeMismatchError(f"entries total {theta_size(entries)} != |{mu}|")
-    return _split_count(entries, mu)
+    entries, mu = _checked(entries, mu)
+    return _count(entries, mu)
 
 
 def theta_positive(entries, mu):
@@ -60,10 +65,7 @@ def theta_positive(entries, mu):
     exponential in the worst case, which matches the hardness of the
     problem.
     """
-    entries = normalize_entries(entries)
-    mu = normalize(mu)
-    if theta_size(entries) != sum(mu):
-        raise SizeMismatchError(f"entries total {theta_size(entries)} != |{mu}|")
+    entries, mu = _checked(entries, mu)
     if len(mu) == 2 and all(shape == (1,) for _, shape in entries):
         return _subset_sum([s for s, _ in entries], mu[0])
     l = len(mu)
@@ -100,10 +102,7 @@ def zelcor_multiplicity_one(entries, mu):
     multiplicity is zero; otherwise the question reduces to the
     multipartition multiplicity-one criterion on the shapes and mu/w.
     """
-    entries = normalize_entries(entries)
-    mu = normalize(mu)
-    if theta_size(entries) != sum(mu):
-        raise SizeMismatchError(f"entries total {theta_size(entries)} != |{mu}|")
+    entries, mu = _checked(entries, mu)
     sizes = {s for s, _ in entries}
     if len(sizes) != 1:
         raise UnequalOrbitSizesError(f"orbit sizes {sorted(sizes)} differ")

@@ -17,16 +17,21 @@ from .errors import (
 )
 
 
-def composition(raw):
-    """Tuple of non-negative integers: the one check on every input entry.
-
-    Entries must be integers (anything `operator.index` accepts); floats,
-    strings and nested lists are refused rather than truncated.
-    """
+def integers(raw):
+    """Tuple of integers: floats, strings, booleans and nested lists are
+    refused rather than converted."""
     try:
-        parts = tuple(map(index, raw))
+        raw = tuple(raw)
+        if bool not in map(type, raw):
+            return tuple(map(index, raw))
     except TypeError:
-        raise NonIntegerEntryError(f"entries must be integers: {raw!r}") from None
+        pass
+    raise NonIntegerEntryError(f"entries must be integers: {raw!r}")
+
+
+def composition(raw):
+    """Tuple of non-negative integers: the one check on every input entry."""
+    parts = integers(raw)
     if min(parts, default=0) < 0:
         raise NegativeEntryError(f"negative part in {parts}")
     return parts
@@ -34,7 +39,7 @@ def composition(raw):
 
 def normalize(raw):
     """Canonical partition: zeros stripped, weakly decreasing enforced."""
-    parts = tuple(p for p in composition(raw) if p > 0)
+    parts = tuple(filter(None, composition(raw)))
     if any(map(lt, parts, parts[1:])):
         raise NonMonotoneError(f"parts increase in {parts}")
     return parts
@@ -42,7 +47,7 @@ def normalize(raw):
 
 def normalize_multi(components):
     """Canonical multipartition: each component normalized, order kept."""
-    return tuple(normalize(c) for c in components)
+    return tuple(map(normalize, components))
 
 
 def part(p, i):

@@ -67,6 +67,8 @@ def greedy_tableau(shape, mu):
     lowest rows first (longest columns first), right to left within a row,
     never directly above a box of the same pass or an unfilled box.  The
     result is semistandard with weight mu whenever shape dominates mu.
+    The weight must be a partition: a tableau of a rearranged weight such
+    as (1, 3) needs Bender-Knuth moves, not a sort of the weight.
     """
     shape = normalize(shape)
     mu = normalize(mu)

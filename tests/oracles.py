@@ -6,6 +6,7 @@ library is a genuinely independent check.
 """
 
 from itertools import combinations
+from math import factorial, prod
 
 from kostka.partitions import bounded_compositions
 
@@ -84,3 +85,31 @@ def subset_sum_exhaustive(values, target):
         for k in range(len(values) + 1)
         for c in combinations(values, k)
     )
+
+
+def _cells(shape):
+    """(content, hook length) of every box of the diagram."""
+    cols = [sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0)]
+    for i, row in enumerate(shape):
+        for j in range(row):
+            yield j - i, (row - j) + (cols[j] - i) - 1
+
+
+def standard_count(shape):
+    """f^shape, the number of standard tableaux, by the hook length formula."""
+    return factorial(sum(shape)) // prod(h for _, h in _cells(shape))
+
+
+def multi_standard_count(shapes):
+    """Standard multitableaux: n! / prod |shape|! * prod f^shape."""
+    out = factorial(sum(map(sum, shapes)))
+    for shape in shapes:
+        out = out * standard_count(shape) // factorial(sum(shape))
+    return out
+
+
+def schur_at_ones(shape, letters):
+    """s_shape(1^letters), the number of tableaux with entries at most
+    letters, by the hook-content formula."""
+    cells = list(_cells(shape))
+    return prod(letters + c for c, _ in cells) // prod(h for _, h in cells)

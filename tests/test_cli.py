@@ -200,6 +200,7 @@ def test_parse_error_exits_two(capsys):
         ["ggg-count", "--entries", '[{"size":"x","partition":[1]}]', "--mu", "1"],
         ["ggg-count", "--entries", '[{"size":1,"partition":3}]', "--mu", "3"],
         ["ggg-positive", "--entries", '[{"size":1,"partition":[[1]]}]', "--mu", "1"],
+        ["ggg-count", "--entries", '[{"size":true,"partition":[1]}]', "--mu", "1"],
     ],
 )
 def test_malformed_entries_exit_two(capsys, argv):

@@ -14,6 +14,7 @@ from kostka.counting import (
     verify_certificate_multi,
 )
 from kostka.errors import NegativeEntryError, NonIntegerEntryError, SizeMismatchError
+from kostka.ggg import theta_kostka, theta_positive
 from kostka.partitions import (
     dominates,
     multipartitions_of,
@@ -22,6 +23,7 @@ from kostka.partitions import (
     tilde,
 )
 from kostka.tableaux import enumerate_multitableaux, enumerate_tableaux
+from oracles import multi_standard_count
 
 
 def test_kostka_known_values():
@@ -56,6 +58,23 @@ def test_counts_reject_bad_entries():
         kostka((1,), (2, -1))
     with pytest.raises(NegativeEntryError):
         kostka_multi(((1,),), (2, -1))
+
+
+def test_kostka_multi_standard_weight_closed_form():
+    # n = 10 to 13, past the enumeration oracles: weight 1^n counts the
+    # standard multitableaux, whatever the order of the components
+    for shapes in (
+        ((3, 2), (2, 1), (2, 1)),
+        ((4, 3, 2), (3, 1)),
+        ((4, 2), (3, 2, 1)),
+        ((3, 2), (2, 1), (2,)),
+        ((5, 3), (3, 2)),
+        ((2, 2), (2, 1), (1, 1), (1,)),
+    ):
+        n = sum(map(sum, shapes))
+        want = multi_standard_count(shapes)
+        assert kostka_multi(shapes, (1,) * n) == want
+        assert kostka_multi(((),) + shapes[::-1], (1,) * n) == want
 
 
 def test_kostka_matches_enumeration():
@@ -96,6 +115,20 @@ def test_weight_permutation_invariance():
             mu, _ = sort_to_partition(w)
             for shape in multipartitions_of(n, 2):
                 assert kostka_multi(shape, w) == kostka_multi(shape, mu)
+    # orbit-weighted counts with mixed orbit sizes
+    for entries in (
+        ((1, (1,)), (2, (1,))),
+        ((1, (2, 1)), (2, (1,))),
+        ((1, (1, 1)), (2, (2,)), (3, (1,))),
+    ):
+        total = sum(s * sum(shape) for s, shape in entries)
+        for w in _compositions(total, 3):
+            mu, _ = sort_to_partition(w)
+            count = theta_kostka(entries, w)
+            assert count == theta_kostka(entries, mu)
+            assert theta_positive(entries, w) == theta_positive(entries, mu)
+            assert theta_positive(entries, w) == (count > 0)
+    assert theta_kostka(((1, (1,)), (2, (1,))), (1, 2)) == 1
 
 
 def test_positivity_examples():
@@ -174,6 +207,13 @@ def test_verify_rejects_bad_certificates():
     assert not verify_certificate((6, 3, 3), (5, 4, 3), (1, 3))  # block (3,3) vs (4,3)
     assert not verify_certificate((6, 3, 3), (5, 4, 3), (2,))  # does not end at l
     assert not verify_certificate_multi(((1,), (1,)), (1, 1), (2,))
+    assert not verify_certificate((2,), (2,), (0,))  # out of range
+    assert not verify_certificate((2,), (2,), (-1,))
+    for bad in (("a",), (1.0,), (True,)):
+        with pytest.raises(NonIntegerEntryError):
+            verify_certificate((2,), (2,), bad)
+        with pytest.raises(NonIntegerEntryError):
+            verify_certificate_multi(((2,), ()), (2,), bad)
 
 
 def _cut_tuples(length):
@@ -238,7 +278,9 @@ def test_self_multiplicity():
                 assert kostka_multi(shape, tilde(shape)) == 1
 
 
-@settings(max_examples=50)
+# deadline=None: a shape such as (6^6) scans all p(36) weights, which takes
+# longer than hypothesis's default per-example deadline on a slow machine
+@settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6).map(
         lambda xs: tuple(sorted(xs, reverse=True))

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -17,7 +19,12 @@ from kostka.ggg import (
     zelcor_multiplicity_one,
 )
 from kostka.partitions import multipartitions_of, partitions_of
-from oracles import subset_sum_exhaustive, theta_count_by_tableaux
+from oracles import (
+    multi_standard_count,
+    schur_at_ones,
+    subset_sum_exhaustive,
+    theta_count_by_tableaux,
+)
 
 
 def test_normalize_entries():
@@ -154,3 +161,41 @@ def test_zelcor_agrees_with_reduced_multipartition_test():
                 is_multiplicity_one_multi(((2, 1), (1, 1)), reduced) is not None
             )
         assert zelcor_multiplicity_one(entries, mu) == expected
+
+
+def test_theta_equal_orbit_sizes_standard_weight_closed_form():
+    # orbit size w and weight w^n: every letter is one box of one entry, so
+    # the count is that of standard multitableaux
+    for w, shapes in (
+        (2, ((3, 2), (2, 1), (2,))),
+        (3, ((2, 1), (2, 1), (1, 1))),
+        (2, ((2, 2), (2, 1), (1, 1), (1,))),
+        (3, ((4, 3, 2), (3, 1))),
+    ):
+        n = sum(map(sum, shapes))
+        entries = tuple((w, shape) for shape in shapes)
+        assert theta_kostka(entries, (w,) * n) == multi_standard_count(shapes)
+
+
+def _rearrangements(mu, slots):
+    """Compositions with `slots` parts that sort to mu."""
+    padded = mu + (0,) * (slots - len(mu))
+    return factorial(slots) // prod(map(factorial, Counter(padded).values()))
+
+
+def test_theta_sums_to_schur_product():
+    # Summed over every weight with at most L letters, the counts take each
+    # tuple of tableaux with entries at most L once: the product of
+    # s_shape(1^L), from the hook-content formula.
+    for entries, letters in (
+        (((1, (3, 2)), (2, (2, 1)), (2, (2,)), (3, (1, 1))), 5),
+        (((1, (3, 1)), (2, (2, 1)), (3, (2,))), 5),
+        (((1, (2, 2)), (1, (2, 1)), (2, (2, 1)), (3, (1,))), 4),
+    ):
+        total = sum(s * sum(shape) for s, shape in entries)
+        got = sum(
+            theta_kostka(entries, mu) * _rearrangements(mu, letters)
+            for mu in partitions_of(total)
+            if len(mu) <= letters
+        )
+        assert got == prod(schur_at_ones(shape, letters) for _, shape in entries)

@@ -48,7 +48,7 @@ def test_composition_checks_every_entry():
     assert composition(()) == ()
     with pytest.raises(NegativeEntryError):
         composition((1, -1))
-    for bad in ((2.5,), (1.0,), ("3",), ([1],), 3):
+    for bad in ((2.5,), (1.0,), ("3",), ([1],), 3, (True,), (2, False)):
         with pytest.raises(NonIntegerEntryError):
             composition(bad)
     with pytest.raises(NonIntegerEntryError):
