@@ -15,12 +15,12 @@ from functools import lru_cache
 
 from .errors import SizeMismatchError
 from .partitions import (
+    _dominates,
+    _tilde,
     composition,
-    dominates,
     integers,
     normalize_multi,
-    sort_to_partition,
-    tilde,
+    sorted_weight,
 )
 
 
@@ -103,10 +103,10 @@ def is_positive(shapes, mu):
     sum dominates the weight.
     """
     shapes = normalize_multi(shapes)
-    mu, _ = sort_to_partition(mu)
-    if sum(sum(c) for c in shapes) != sum(mu):
+    mu = sorted_weight(mu)
+    if sum(map(sum, shapes)) != sum(mu):
         raise SizeMismatchError(f"|{shapes}| != |{mu}|")
-    return dominates(tilde(shapes), mu)
+    return _dominates(_tilde(shapes), mu)
 
 
 def is_multiplicity_one(shape, weight):
@@ -131,7 +131,7 @@ def is_multiplicity_one_multi(shapes, weight):
     differs from one.
     """
     shapes = normalize_multi(shapes)
-    mu, _ = sort_to_partition(weight)
+    mu = sorted_weight(weight)
     if sum(map(sum, shapes)) != sum(mu):
         raise SizeMismatchError(f"|{shapes}| != |{mu}|")
     l = len(mu)
@@ -201,7 +201,7 @@ def verify_certificate_multi(shapes, mu, indices):
     Indices must be integers; out-of-range ones make the check fail.
     """
     shapes = normalize_multi(shapes)
-    mu, _ = sort_to_partition(mu)
+    mu = sorted_weight(mu)
     indices = integers(indices)
     l = len(mu)
     if l == 0:

@@ -10,7 +10,7 @@ class NegativeEntryError(KostkaError):
 
 
 class NonIntegerEntryError(KostkaError):
-    """A partition, composition or orbit-size entry was not an integer."""
+    """An entry was not an integer, or a container not a sequence of them."""
 
 
 class NonMonotoneError(KostkaError):

@@ -9,19 +9,23 @@ weight, so a composition weight is sorted to a partition first, as in
 """
 
 from .counting import _count, is_multiplicity_one_multi
-from .errors import EmptyShapeError, SizeMismatchError, UnequalOrbitSizesError
+from .errors import EmptyShapeError, NonIntegerEntryError, SizeMismatchError
+from .errors import UnequalOrbitSizesError
 from .partitions import (
+    _dominates,
     bounded_compositions,
     composition,
-    dominates,
     normalize_multi,
-    sort_to_partition,
+    sorted_weight,
 )
 
 
 def normalize_entries(entries):
     """Validated tuple of (orbit size, partition) pairs."""
-    entries = tuple(entries)
+    try:
+        entries = [(orbit_size, shape) for orbit_size, shape in entries]
+    except (TypeError, ValueError):
+        raise NonIntegerEntryError(f"not (orbit size, partition) pairs: {entries!r}") from None
     sizes = composition([orbit_size for orbit_size, _ in entries])
     if 0 in sizes:
         raise EmptyShapeError("orbit size 0 must be positive")
@@ -38,7 +42,7 @@ def theta_size(entries):
 def _checked(entries, mu):
     """Validated entries, and the weight sorted to a partition of their total."""
     entries = normalize_entries(entries)
-    mu, _ = sort_to_partition(mu)
+    mu = sorted_weight(mu)
     total = sum(s * sum(shape) for s, shape in entries)
     if total != sum(mu):
         raise SizeMismatchError(f"entries total {total} != |{mu}|")
@@ -76,8 +80,7 @@ def theta_positive(entries, mu):
         orbit_size, shape = entries[k]
         caps = tuple(x // orbit_size for x in remaining)
         for v in bounded_compositions(sum(shape), caps):
-            v_sorted, _ = sort_to_partition(v)
-            if not dominates(shape, v_sorted):
+            if not _dominates(shape, sorted_weight(v)):
                 continue
             rest = tuple(remaining[i] - orbit_size * v[i] for i in range(l))
             if rec(k + 1, rest):

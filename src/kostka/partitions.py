@@ -7,7 +7,8 @@ allowed).  All operations accept zero-padded input and strip zeros on
 normalization, so equality stays structural.
 """
 
-from operator import index, lt
+from itertools import accumulate, zip_longest
+from operator import ge, index, lt
 
 from .errors import (
     NegativeEntryError,
@@ -19,11 +20,12 @@ from .errors import (
 
 def integers(raw):
     """Tuple of integers: floats, strings, booleans and nested lists are
-    refused rather than converted."""
+    refused rather than converted; a tuple of plain ints comes back as is."""
     try:
         raw = tuple(raw)
-        if bool not in map(type, raw):
-            return tuple(map(index, raw))
+        types = set(map(type, raw))
+        if bool not in types:
+            return raw if types <= {int} else tuple(map(index, raw))
     except TypeError:
         pass
     raise NonIntegerEntryError(f"entries must be integers: {raw!r}")
@@ -47,7 +49,10 @@ def normalize(raw):
 
 def normalize_multi(components):
     """Canonical multipartition: each component normalized, order kept."""
-    return tuple(map(normalize, components))
+    try:
+        return tuple(map(normalize, components))
+    except TypeError:
+        raise NonIntegerEntryError(f"not a sequence of partitions: {components!r}") from None
 
 
 def part(p, i):
@@ -60,13 +65,13 @@ def dominates(a, b):
     a, b = normalize(a), normalize(b)
     if sum(a) != sum(b):
         raise SizeMismatchError(f"|{a}| != |{b}|")
-    sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += part(a, i)
-        sb += part(b, i)
-        if sa < sb:
-            return False
-    return True
+    return _dominates(a, b)
+
+
+def _dominates(a, b):
+    """`dominates` for normalized a and b of equal size.  Stopping at the
+    shorter is sound: past it, its prefix sums equal the common size."""
+    return all(map(ge, accumulate(a), accumulate(b)))
 
 
 def contains(outer, inner):
@@ -92,9 +97,12 @@ def is_horizontal_strip(outer, inner):
 
 def tilde(m):
     """Row-wise sum of a multipartition's components."""
-    m = normalize_multi(m)
-    depth = max((len(c) for c in m), default=0)
-    return tuple(sum(part(c, i) for c in m) for i in range(depth))
+    return _tilde(normalize_multi(m))
+
+
+def _tilde(m):
+    """`tilde` for a normalized multipartition."""
+    return tuple(map(sum, zip_longest(*m, fillvalue=0)))
 
 
 def sort_to_partition(w):
@@ -105,8 +113,12 @@ def sort_to_partition(w):
     """
     w = composition(w)
     order = tuple(sorted(range(len(w)), key=w.__getitem__, reverse=True))
-    partition = tuple(w[i] for i in order if w[i] > 0)
-    return partition, order
+    return sorted_weight(w), order
+
+
+def sorted_weight(w):
+    """The partition of `sort_to_partition`, without the permutation."""
+    return tuple(sorted(filter(None, composition(w)), reverse=True))
 
 
 def conjugate(p):

@@ -11,14 +11,14 @@ from itertools import product
 
 from .errors import NotDominatedError, ShapeMismatchError, SizeMismatchError
 from .partitions import (
+    _dominates,
+    _tilde,
     bounded_compositions,
     composition,
     conjugate,
-    dominates,
     normalize,
     normalize_multi,
     part,
-    tilde,
 )
 
 
@@ -74,7 +74,7 @@ def greedy_tableau(shape, mu):
     mu = normalize(mu)
     if sum(shape) != sum(mu):
         raise SizeMismatchError(f"|{shape}| != |{mu}|")
-    if not dominates(shape, mu):
+    if not _dominates(shape, mu):
         raise NotDominatedError(f"{shape} does not dominate {mu}")
     rows = [[0] * width for width in shape]
     cur = list(shape)
@@ -104,8 +104,8 @@ def redistribute_columns(rows, target):
     rows = tuple(tuple(r) for r in rows)
     target = normalize_multi(target)
     shape = shape_of(rows)
-    if tilde(target) != shape:
-        raise ShapeMismatchError(f"tilde {tilde(target)} != shape {shape}")
+    if _tilde(target) != shape:
+        raise ShapeMismatchError(f"tilde {_tilde(target)} != shape {shape}")
     needed = []
     for comp in target:
         counts = {}

@@ -14,12 +14,12 @@ from typing import NamedTuple
 from .counting import kostka_multi
 from .errors import InvalidDivisorError
 from .partitions import (
+    _dominates,
+    _tilde,
     conjugate,
-    dominates,
     multipartitions_of,
     normalize,
     normalize_multi,
-    tilde,
 )
 
 
@@ -74,7 +74,7 @@ def decompose_permutation_character(r, d, mu):
     n = sum(mu)
     out = []
     for label in _allowed_labels(r, d, n):
-        if not dominates(tilde(label), mu):
+        if not _dominates(_tilde(label), mu):
             continue
         m = kostka_multi(label, mu)
         if m:

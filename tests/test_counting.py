@@ -131,6 +131,65 @@ def test_weight_permutation_invariance():
     assert theta_kostka(((1, (1,)), (2, (1,))), (1, 2)) == 1
 
 
+@st.composite
+def _composition_of(draw, n, max_len):
+    """A composition of n with at most max_len parts, zeros allowed."""
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=max_len - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+
+@st.composite
+def _shapes_of(draw, n, r):
+    """r partitions of total size n."""
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=r - 1, max_size=r - 1)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return tuple(draw(st.sampled_from(list(partitions_of(m)))) for m in sizes)
+
+
+@st.composite
+def _permuted_weight(draw, n, max_len):
+    w = draw(_composition_of(n, max_len))
+    return w, draw(st.permutations(w))
+
+
+# n <= 12 keeps every example far below hypothesis's default deadline; the
+# exhaustive test above stops at n = 6
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(_shapes_of(n, 1), _permuted_weight(n, 12))))
+def test_kostka_weight_permutation_invariance(case):
+    (lam,), (w, v) = case
+    assert kostka(lam, w) == kostka(lam, v) == kostka(lam, sort_to_partition(w)[0])
+
+
+@given(
+    st.tuples(st.integers(0, 12), st.integers(2, 3)).flatmap(
+        lambda nr: st.tuples(_shapes_of(*nr), _permuted_weight(nr[0], 6))
+    )
+)
+def test_kostka_multi_weight_permutation_invariance(case):
+    shapes, (w, v) = case
+    mu = sort_to_partition(w)[0]
+    assert kostka_multi(shapes, w) == kostka_multi(shapes, v) == kostka_multi(shapes, mu)
+
+
+@st.composite
+def _theta_case(draw):
+    """Orbit-weighted entries of total at most 12, and a permuted weight."""
+    entries, room = [], 12
+    for s in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        if room >= s:
+            m = draw(st.integers(1, room // s))
+            entries.append((s, draw(st.sampled_from(list(partitions_of(m))))))
+            room -= s * m
+    return entries, draw(_permuted_weight(12 - room, 6))
+
+
+@given(_theta_case())
+def test_theta_weight_permutation_invariance(case):
+    entries, (w, v) = case
+    mu = sort_to_partition(w)[0]
+    assert theta_kostka(entries, w) == theta_kostka(entries, v) == theta_kostka(entries, mu)
+
+
 def test_positivity_examples():
     assert is_positive(((2, 1, 1), (2, 2), (4,)), (8, 3, 1))
     assert is_positive(((1,), (1,)), (2,))

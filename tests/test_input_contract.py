@@ -1,0 +1,139 @@
+"""One input contract across the public entry points.
+
+Every public function answers or raises a `KostkaError` subclass, and the
+same bad input is refused with the same subclass by every function that
+takes it.  The table below feeds each entry point a partition or a weight
+that is bad in one way, so a check moved from one layer to another cannot
+silently disappear.
+"""
+
+import pytest
+
+from kostka import (
+    decompose_permutation_character,
+    dominates,
+    is_multiplicity_one,
+    is_multiplicity_one_multi,
+    is_positive,
+    kostka,
+    kostka_multi,
+    theta_kostka,
+    theta_positive,
+    tilde,
+    unique_weight,
+    unique_weight_multi,
+    verify_certificate,
+    verify_certificate_multi,
+    zelcor_multiplicity_one,
+)
+from kostka.errors import (
+    EmptyShapeError,
+    InvalidDivisorError,
+    NegativeEntryError,
+    NonIntegerEntryError,
+    NonMonotoneError,
+    SizeMismatchError,
+)
+
+GOOD_SHAPE, GOOD_WEIGHT = (2, 1), (2, 1)
+
+BAD_SHAPES = [
+    ("negative", (3, -1), NegativeEntryError),
+    ("float", (2.0, 1), NonIntegerEntryError),
+    ("bool", (True, 1), NonIntegerEntryError),
+    ("string", ("2", 1), NonIntegerEntryError),
+    ("increasing", (1, 2), NonMonotoneError),
+    ("non-iterable", 5, NonIntegerEntryError),
+]
+
+# a weight may be a composition, so an increasing one is not bad
+BAD_WEIGHTS = [
+    ("negative", (4, -1), NegativeEntryError),
+    ("float", (2.0, 1), NonIntegerEntryError),
+    ("bool", (2, True), NonIntegerEntryError),
+    ("string", ("2", 1), NonIntegerEntryError),
+    ("non-iterable", 5, NonIntegerEntryError),
+    ("size-mismatch", (2,), SizeMismatchError),
+]
+
+# entry point -> call on one partition and a weight; the multipartition
+# functions get the partition with an empty component beside it
+PAIR_CALLS = {
+    "kostka": kostka,
+    "kostka_multi": lambda lam, w: kostka_multi((lam, ()), w),
+    "is_positive": lambda lam, w: is_positive((lam, ()), w),
+    "is_multiplicity_one": is_multiplicity_one,
+    "is_multiplicity_one_multi": lambda lam, w: is_multiplicity_one_multi((lam, ()), w),
+    "verify_certificate": lambda lam, w: verify_certificate(lam, w, (1, 2)),
+    "verify_certificate_multi": lambda lam, w: verify_certificate_multi((lam, ()), w, (1, 2)),
+    "dominates": dominates,
+    "theta_kostka": lambda lam, w: theta_kostka([(1, lam)], w),
+    "theta_positive": lambda lam, w: theta_positive([(1, lam)], w),
+    "zelcor_multiplicity_one": lambda lam, w: zelcor_multiplicity_one([(1, lam)], w),
+}
+
+# entry point -> call on one partition
+SHAPE_CALLS = {
+    "unique_weight": unique_weight,
+    "unique_weight_multi": lambda lam: unique_weight_multi((lam, ())),
+    "tilde": lambda lam: tilde((lam, ())),
+    "decompose_permutation_character": lambda lam: decompose_permutation_character(2, 1, lam),
+}
+
+# a certificate is a claim about a shape and weight of equal size: on a
+# mismatch the verifiers answer False rather than raise
+NO_SIZE_CHECK = {"verify_certificate", "verify_certificate_multi"}
+
+
+def _cases():
+    for name, call in PAIR_CALLS.items():
+        for kind, lam, error in BAD_SHAPES:
+            yield pytest.param(call, (lam, GOOD_WEIGHT), error, id=f"{name}-shape-{kind}")
+        for kind, w, error in BAD_WEIGHTS:
+            if name in NO_SIZE_CHECK and error is SizeMismatchError:
+                continue
+            yield pytest.param(call, (GOOD_SHAPE, w), error, id=f"{name}-weight-{kind}")
+    for name, call in SHAPE_CALLS.items():
+        for kind, lam, error in BAD_SHAPES:
+            yield pytest.param(call, (lam,), error, id=f"{name}-shape-{kind}")
+
+
+@pytest.mark.parametrize("call, args, error", _cases())
+def test_bad_input_raises_the_same_error_everywhere(call, args, error):
+    with pytest.raises(error):
+        call(*args)
+
+
+@pytest.mark.parametrize(
+    "call, args, error",
+    [
+        # a multipartition, or Theta entries, that are not sequences at all
+        (kostka_multi, (5, (1,)), NonIntegerEntryError),
+        (is_positive, (5, (1,)), NonIntegerEntryError),
+        (is_multiplicity_one_multi, (5, (1,)), NonIntegerEntryError),
+        (verify_certificate_multi, (5, (1,), (1,)), NonIntegerEntryError),
+        (unique_weight_multi, (5,), NonIntegerEntryError),
+        (tilde, (5,), NonIntegerEntryError),
+        (theta_kostka, (5, (1,)), NonIntegerEntryError),
+        (theta_positive, ([5], (1,)), NonIntegerEntryError),
+        (zelcor_multiplicity_one, (5, (1,)), NonIntegerEntryError),
+        # Theta entries that are not (orbit size, partition) pairs
+        (theta_kostka, ([(1,)], (1,)), NonIntegerEntryError),
+        (theta_positive, ([(1, 2, 3)], (1,)), NonIntegerEntryError),
+        # bad orbit sizes
+        (theta_kostka, ([(-1, (1,))], (1,)), NegativeEntryError),
+        (theta_kostka, ([(1.0, (1,))], (1,)), NonIntegerEntryError),
+        (theta_positive, ([(True, (1,))], (1,)), NonIntegerEntryError),
+        (zelcor_multiplicity_one, ([("1", (1,))], (1,)), NonIntegerEntryError),
+        (theta_kostka, ([(0, (1,))], (1,)), EmptyShapeError),
+        (decompose_permutation_character, (2, 3, (1,)), InvalidDivisorError),
+    ],
+)
+def test_bad_containers_raise_kostka_errors(call, args, error):
+    with pytest.raises(error):
+        call(*args)
+
+
+def test_verifiers_reject_a_size_mismatch():
+    assert verify_certificate((2, 1), (2,), (1,)) is False
+    assert verify_certificate_multi(((2, 1), ()), (2,), (1,)) is False

@@ -1,3 +1,6 @@
+from enum import IntEnum
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,13 +12,16 @@ from kostka.errors import (
     SizeMismatchError,
 )
 from kostka.partitions import (
+    _dominates,
     composition,
     conjugate,
     dominates,
+    integers,
     is_horizontal_strip,
     normalize,
     partitions_of,
     sort_to_partition,
+    sorted_weight,
     tilde,
 )
 from oracles import column_count_strip_check
@@ -158,3 +164,23 @@ def test_conjugate():
     for n in range(0, 8):
         for lam in partitions_of(n):
             assert conjugate(conjugate(lam)) == lam
+
+
+def test_unchecked_dominance_matches_dominates():
+    # pairs of one size include every pair of unequal lengths
+    for n in range(13):
+        lams = list(partitions_of(n))
+        for a, b in product(lams, repeat=2):
+            assert _dominates(a, b) == dominates(a, b), (a, b)
+
+
+def test_sorted_weight_matches_sort_to_partition():
+    for w in product(range(9), repeat=4):
+        if sum(w) <= 8:
+            assert sorted_weight(w) == sort_to_partition(w)[0]
+
+
+def test_integers_converts_int_subclasses():
+    Two = IntEnum("Two", {"TWO": 2}).TWO
+    assert integers([2, Two]) == (2, 2)
+    assert all(type(x) is int for x in integers((Two,)))
