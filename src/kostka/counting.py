@@ -1,13 +1,20 @@
 """Kostka numbers and the fast positivity / multiplicity-one predicates.
 
 Single, multipartition and orbit-weighted (Theta) counts share one
-memoized recursion, exact at any size thanks to Python integers: the last
-letter of the weight fills one horizontal strip in every component, the
-strip sizes times the orbit sizes summing to its multiplicity.  The
-multiplicity-one predicates never count: they run a single left-to-right
-scan that either produces a block certificate or reports failure, so they
-stay fast even for partitions with thousands of parts.  Each
-single-partition predicate is the one-component case of its
+memoized recursion with exact Python integers: the last letter of the
+weight fills one horizontal strip in every component, the strip sizes
+times the orbit sizes summing to its multiplicity.  The counts are
+symmetric in the weight, so it is sorted to a partition first and the
+memo is keyed by its runs (part, count, part, count, ...): removing a
+letter changes only the last run, so a letter costs constant key work.
+The recursion takes one Python frame per letter, so at the default
+recursion limit of 1000 a weight of more than about 495 letters raises
+RecursionError.
+
+The multiplicity-one predicates never count: they run a single
+left-to-right scan that either produces a block certificate or reports
+failure, so they stay fast even for partitions with thousands of parts.
+Each single-partition predicate is the one-component case of its
 multipartition twin.
 """
 
@@ -17,7 +24,6 @@ from .errors import SizeMismatchError
 from .partitions import (
     _dominates,
     _tilde,
-    composition,
     integers,
     normalize_multi,
     sorted_weight,
@@ -25,16 +31,19 @@ from .partitions import (
 
 
 @lru_cache(maxsize=None)
-def _strip_count(sizes, shapes, w):
-    """Fillings of the shapes of weight w, a letter in shapes[j] counting
-    sizes[j] times."""
-    while w and w[-1] == 0:
-        w = w[:-1]
-    if not w:
+def _strip_count(sizes, shapes, runs):
+    """Fillings of the shapes, a letter in shapes[j] counting sizes[j]
+    times, of the partition weight whose runs are (part, count, part,
+    count, ...), e.g. (2, 1, 1, 3) for (2, 1, 1, 1).  The last letter, of
+    multiplicity runs[-2], fills one strip in every component; the rest of
+    the weight is the runs with the last count lowered by one."""
+    if not runs:
         return 0 if any(shapes) else 1
+    m, c = runs[-2:]
+    rest = runs[:-1] + (c - 1,) if c > 1 else runs[:-2]
     total = 0
-    for inner in _inner_multi(sizes, shapes, w[-1]):
-        total += _strip_count(sizes, inner, w[:-1])
+    for inner in _inner_multi(sizes, shapes, m):
+        total += _strip_count(sizes, inner, rest)
     return total
 
 
@@ -69,13 +78,19 @@ def _inner_shapes(shape, m):
 
 
 def _count(entries, w):
-    """The one way into the engine: (orbit size, shape) entries, weight w.
+    """The one way into the engine: (orbit size, shape) entries, partition w.
 
     The count is symmetric in the entries, so empty shapes are dropped and
     the rest sorted: every order of the same entries shares cache states.
     """
     sizes, shapes = tuple(zip(*sorted(e for e in entries if e[1]))) or ((), ())
-    return _strip_count(sizes, shapes, w)
+    runs = []
+    for m in w:
+        if runs and runs[-2] == m:
+            runs[-1] += 1
+        else:
+            runs += (m, 1)
+    return _strip_count(sizes, shapes, tuple(runs))
 
 
 def kostka(shape, w):
@@ -87,10 +102,11 @@ def kostka_multi(shapes, w):
     """Number of semistandard multitableaux of the given shape and weight.
 
     Each letter fills one horizontal strip in every component, the strip
-    sizes summing to its multiplicity in w.
+    sizes summing to its multiplicity in w.  The count does not change
+    when w is rearranged (Bender-Knuth), so w is sorted first.
     """
     shapes = normalize_multi(shapes)
-    w = composition(w)
+    w = sorted_weight(w)
     if sum(map(sum, shapes)) != sum(w):
         raise SizeMismatchError(f"|{shapes}| != |{w}|")
     return _count([(1, c) for c in shapes], w)

@@ -9,13 +9,19 @@ predicates are checked against.
 
 from itertools import product
 
-from .errors import NotDominatedError, ShapeMismatchError, SizeMismatchError
+from .errors import (
+    NonIntegerEntryError,
+    NotDominatedError,
+    ShapeMismatchError,
+    SizeMismatchError,
+)
 from .partitions import (
     _dominates,
     _tilde,
     bounded_compositions,
     composition,
     conjugate,
+    integers,
     normalize,
     normalize_multi,
     part,
@@ -26,12 +32,20 @@ def shape_of(rows):
     return tuple(len(r) for r in rows)
 
 
+def _rows(rows):
+    """Tuple of row tuples, every entry an integer."""
+    try:
+        return tuple(map(integers, rows))
+    except TypeError:
+        raise NonIntegerEntryError(f"not a sequence of rows: {rows!r}") from None
+
+
 def is_semistandard(rows, shape=None):
     """True iff rows weakly increase and columns strictly increase.
 
     If a shape is supplied, row lengths must match it exactly.
     """
-    rows = tuple(tuple(r) for r in rows)
+    rows = _rows(rows)
     if shape is not None and shape_of(rows) != normalize(shape):
         raise ShapeMismatchError(f"rows {shape_of(rows)} vs shape {tuple(shape)}")
     lengths = shape_of(rows)
@@ -48,7 +62,7 @@ def is_semistandard(rows, shape=None):
 
 def weight(rows):
     """Composition counting occurrences of each entry, up to the largest."""
-    entries = [e for r in rows for e in r]
+    entries = [e for r in _rows(rows) for e in r]
     top = max(entries, default=0)
     return tuple(sum(1 for e in entries if e == i) for i in range(1, top + 1))
 
@@ -101,7 +115,7 @@ def redistribute_columns(rows, target):
     left-to-right order within every component.  Requires the row-wise sum
     of the target to equal the tableau's shape.
     """
-    rows = tuple(tuple(r) for r in rows)
+    rows = _rows(rows)
     target = normalize_multi(target)
     shape = shape_of(rows)
     if _tilde(target) != shape:

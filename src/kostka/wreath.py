@@ -17,6 +17,7 @@ from .partitions import (
     _dominates,
     _tilde,
     conjugate,
+    integers,
     multipartitions_of,
     normalize,
     normalize_multi,
@@ -68,6 +69,7 @@ def decompose_permutation_character(r, d, mu):
     Kostka multiplicity against mu, zero multiplicities omitted, ordered
     lexicographically by label.
     """
+    r, d = integers((r, d))
     mu = normalize(mu)
     if r < 1 or d < 1 or r % d != 0:
         raise InvalidDivisorError(f"{d} does not divide {r}")

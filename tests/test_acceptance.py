@@ -22,7 +22,7 @@ from kostka.counting import (
 )
 from kostka.ggg import _subset_sum, theta_kostka, zelcor_multiplicity_one
 from kostka.partitions import multipartitions_of, partitions_of, tilde
-from kostka.tableaux import enumerate_multitableaux, enumerate_tableaux, greedy_tableau
+from kostka.tableaux import enumerate_tableaux, greedy_tableau
 from kostka.wreath import decompose_permutation_character, irreducible_degree
 from oracles import subset_sum_exhaustive, theta_count_by_tableaux
 
@@ -46,19 +46,16 @@ def test_criterion_1_oracle_equivalence_partitions():
     _report(1, f"{checked} partition pairs", start, 60)
 
 
-def test_criterion_2_oracle_equivalence_multipartitions():
+def test_criterion_2_oracle_equivalence_multipartitions(multitableau_grid):
     start = time.monotonic()
     checked = 0
-    for n in range(0, 7):
-        for r in (1, 2, 3):
-            for shape in multipartitions_of(n, r):
-                for mu in partitions_of(n):
-                    count = len(enumerate_multitableaux(shape, mu))
-                    assert kostka_multi(shape, mu) == count
-                    assert is_positive(shape, mu) == (count > 0)
-                    cert = is_multiplicity_one_multi(shape, mu)
-                    assert (cert is not None) == (count == 1)
-                    checked += 1
+    for shape, mu, found in multitableau_grid:
+        count = len(found)
+        assert kostka_multi(shape, mu) == count
+        assert is_positive(shape, mu) == (count > 0)
+        cert = is_multiplicity_one_multi(shape, mu)
+        assert (cert is not None) == (count == 1)
+        checked += 1
     _report(2, f"{checked} multipartition pairs", start, 120)
 
 

@@ -1,8 +1,13 @@
+import random
+import tracemalloc
+from math import comb, factorial, prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kostka.counting import (
+    _strip_count,
     is_multiplicity_one,
     is_multiplicity_one_multi,
     is_positive,
@@ -22,8 +27,8 @@ from kostka.partitions import (
     sort_to_partition,
     tilde,
 )
-from kostka.tableaux import enumerate_multitableaux, enumerate_tableaux
-from oracles import multi_standard_count
+from kostka.tableaux import enumerate_tableaux
+from oracles import multi_standard_count, standard_count
 
 
 def test_kostka_known_values():
@@ -77,6 +82,43 @@ def test_kostka_multi_standard_weight_closed_form():
         assert kostka_multi(((),) + shapes[::-1], (1,) * n) == want
 
 
+def test_two_row_chains_from_a_cleared_cache():
+    # K((n - k, k), 1^n) = C(n, k) - C(n, k - 1), the ballot numbers.  From a
+    # cleared cache the first call recurses once per letter, so n = 450
+    # also guards the depth reached at the default recursion limit
+    for n in (300, 450):
+        for k in (1, 2, 3):
+            _strip_count.cache_clear()
+            assert kostka((n - k, k), (1,) * n) == comb(n, k) - comb(n, k - 1)
+
+
+def test_column_sums_on_shuffled_compositions():
+    # sum over lambda of K(lambda, mu) f^lambda counts the words of content
+    # mu (RSK), whatever the order of mu and wherever its zeros stand
+    rng = random.Random(5)
+    for n in range(0, 11):
+        lams = list(partitions_of(n))
+        for mu in lams:
+            w = list(mu) + [0] * rng.randrange(3)
+            rng.shuffle(w)
+            words = factorial(n) // prod(map(factorial, w))
+            assert sum(kostka(lam, w) * standard_count(lam) for lam in lams) == words
+
+
+def test_chain_memo_stays_small():
+    # a weight is keyed by its runs, so a chain of n letters keeps O(n)
+    # entries of constant size; keys that held the whole weight prefix
+    # would keep O(n^2) memory, about 2 MiB for this call
+    _strip_count.cache_clear()
+    tracemalloc.start()
+    try:
+        kostka((398, 2), (1,) * 400)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
+
+
 def test_kostka_matches_enumeration():
     for n in range(0, 9):
         for lam in partitions_of(n):
@@ -84,14 +126,9 @@ def test_kostka_matches_enumeration():
                 assert kostka(lam, mu) == len(enumerate_tableaux(lam, mu))
 
 
-def test_kostka_multi_matches_enumeration():
-    for n in range(0, 7):
-        for r in (1, 2, 3):
-            for shape in multipartitions_of(n, r):
-                for mu in partitions_of(n):
-                    assert kostka_multi(shape, mu) == len(
-                        enumerate_multitableaux(shape, mu)
-                    )
+def test_kostka_multi_matches_enumeration(multitableau_grid):
+    for shape, mu, found in multitableau_grid:
+        assert kostka_multi(shape, mu) == len(found)
 
 
 def _compositions(n, length):

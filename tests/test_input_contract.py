@@ -15,8 +15,10 @@ from kostka import (
     is_multiplicity_one,
     is_multiplicity_one_multi,
     is_positive,
+    is_semistandard,
     kostka,
     kostka_multi,
+    redistribute_columns,
     theta_kostka,
     theta_positive,
     tilde,
@@ -24,6 +26,7 @@ from kostka import (
     unique_weight_multi,
     verify_certificate,
     verify_certificate_multi,
+    weight,
     zelcor_multiplicity_one,
 )
 from kostka.errors import (
@@ -127,6 +130,19 @@ def test_bad_input_raises_the_same_error_everywhere(call, args, error):
         (zelcor_multiplicity_one, ([("1", (1,))], (1,)), NonIntegerEntryError),
         (theta_kostka, ([(0, (1,))], (1,)), EmptyShapeError),
         (decompose_permutation_character, (2, 3, (1,)), InvalidDivisorError),
+        # r and d of the wreath product must be integers, not read as one
+        (decompose_permutation_character, (2.0, 1, (1,)), NonIntegerEntryError),
+        (decompose_permutation_character, ("a", 1, (1,)), NonIntegerEntryError),
+        (decompose_permutation_character, (True, 1, (1,)), NonIntegerEntryError),
+        (decompose_permutation_character, (2, 1.0, (1,)), NonIntegerEntryError),
+        (decompose_permutation_character, (2, True, (1,)), NonIntegerEntryError),
+        # tableau rows that are not sequences, or hold non-integer entries
+        (is_semistandard, (5,), NonIntegerEntryError),
+        (weight, (5,), NonIntegerEntryError),
+        (redistribute_columns, (5, ((1,),)), NonIntegerEntryError),
+        (is_semistandard, ([[1, "a"]],), NonIntegerEntryError),
+        (weight, ([[1.5]],), NonIntegerEntryError),
+        (redistribute_columns, ([[1.5]], ((1,),)), NonIntegerEntryError),
     ],
 )
 def test_bad_containers_raise_kostka_errors(call, args, error):

@@ -185,17 +185,13 @@ def test_enumerate_multi_single_component_reduction():
                 ] == enumerate_tableaux(lam, mu)
 
 
-def test_enumerate_multi_nonempty_iff_tilde_dominates():
-    for n in range(0, 7):
-        for r in (1, 2, 3):
-            for shape in multipartitions_of(n, r):
-                for mu in partitions_of(n):
-                    found = enumerate_multitableaux(shape, mu)
-                    assert bool(found) == dominates(tilde(shape), mu)
-                    for mt in found:
-                        assert multi_weight(mt) == mu
-                        for comp, comp_shape in zip(mt, shape):
-                            assert is_semistandard(comp, shape=comp_shape)
+def test_enumerate_multi_nonempty_iff_tilde_dominates(multitableau_grid):
+    for shape, mu, found in multitableau_grid:
+        assert bool(found) == dominates(tilde(shape), mu)
+        for mt in found:
+            assert multi_weight(mt) == mu
+            for comp, comp_shape in zip(mt, shape):
+                assert is_semistandard(comp, shape=comp_shape)
 
 
 def test_enumerate_size_mismatch():
