@@ -191,19 +191,14 @@ def build_parser():
 
     shape_p = dict(required=True, help="partition, comma-separated")
     shape_m = dict(required=True, help="multipartition, JSON or @file")
+    shape_any = dict(required=True, help="partition or JSON multipartition")
     weight = dict(required=True, help="weight composition, comma-separated")
     exit_code = dict(action="store_true", help="exit 0 if true, 1 if false")
     oracle = dict(action="store_true", help="count by enumeration instead")
 
     add("count", _cmd_count, shape=shape_p, weight=weight, oracle=oracle)
     add("count-multi", _cmd_count, shape=shape_m, weight=weight, oracle=oracle)
-    add(
-        "positive",
-        _cmd_positive,
-        shape=dict(required=True, help="partition or JSON multipartition"),
-        weight=weight,
-        exit_code=exit_code,
-    )
+    add("positive", _cmd_positive, shape=shape_any, weight=weight, exit_code=exit_code)
     add("mult-one", _cmd_mult_one, shape=shape_p, weight=weight, exit_code=exit_code)
     add("mult-one-multi", _cmd_mult_one, shape=shape_m, weight=weight,
         exit_code=exit_code)
@@ -212,7 +207,7 @@ def build_parser():
     add(
         "enumerate",
         _cmd_enumerate,
-        shape=dict(required=True, help="partition or JSON multipartition"),
+        shape=shape_any,
         weight=weight,
         count_only=dict(action="store_true", help="emit the count only"),
     )

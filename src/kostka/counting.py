@@ -93,6 +93,15 @@ def _count(entries, w):
     return _strip_count(sizes, shapes, tuple(runs))
 
 
+def _checked(shapes, w):
+    """Normalized shapes, and the weight sorted to a partition of their size."""
+    shapes = normalize_multi(shapes)
+    w = sorted_weight(w)
+    if sum(map(sum, shapes)) != sum(w):
+        raise SizeMismatchError(f"|{shapes}| != |{w}|")
+    return shapes, w
+
+
 def kostka(shape, w):
     """Number of semistandard tableaux of the given shape and weight."""
     return kostka_multi((shape,), w)
@@ -105,10 +114,7 @@ def kostka_multi(shapes, w):
     sizes summing to its multiplicity in w.  The count does not change
     when w is rearranged (Bender-Knuth), so w is sorted first.
     """
-    shapes = normalize_multi(shapes)
-    w = sorted_weight(w)
-    if sum(map(sum, shapes)) != sum(w):
-        raise SizeMismatchError(f"|{shapes}| != |{w}|")
+    shapes, w = _checked(shapes, w)
     return _count([(1, c) for c in shapes], w)
 
 
@@ -118,10 +124,7 @@ def is_positive(shapes, mu):
     Decided without counting: positivity holds iff the row-wise component
     sum dominates the weight.
     """
-    shapes = normalize_multi(shapes)
-    mu = sorted_weight(mu)
-    if sum(map(sum, shapes)) != sum(mu):
-        raise SizeMismatchError(f"|{shapes}| != |{mu}|")
+    shapes, mu = _checked(shapes, mu)
     return _dominates(_tilde(shapes), mu)
 
 
@@ -146,10 +149,7 @@ def is_multiplicity_one_multi(shapes, weight):
     indices (1-based, ending at the weight length), or None when the count
     differs from one.
     """
-    shapes = normalize_multi(shapes)
-    mu = sorted_weight(weight)
-    if sum(map(sum, shapes)) != sum(mu):
-        raise SizeMismatchError(f"|{shapes}| != |{mu}|")
+    shapes, mu = _checked(shapes, weight)
     l = len(mu)
     if max(map(len, shapes), default=0) > l:
         return None
@@ -177,16 +177,6 @@ def is_multiplicity_one_multi(shapes, weight):
             closing = False
         prev = row
     return tuple(indices)
-
-
-def _block_prefix_dominates(a, b):
-    sa = sb = 0
-    for x, y in zip(a, b):
-        sa += x
-        sb += y
-        if sa < sb:
-            return False
-    return sa == sb
 
 
 def _block_shape_ok(component_blocks):
@@ -230,7 +220,8 @@ def verify_certificate_multi(shapes, mu, indices):
     row_sums = list(map(sum, zip(*padded)))
     prev = 0
     for cut in indices:
-        if not _block_prefix_dominates(row_sums[prev:cut], mu[prev:cut]):
+        block, letters = row_sums[prev:cut], mu[prev:cut]
+        if sum(block) != sum(letters) or not _dominates(block, letters):
             return False
         # a one-row block is a rectangle in every component
         if cut - prev > 1 and not _block_shape_ok([p[prev:cut] for p in padded]):

@@ -8,6 +8,8 @@ weight, so a composition weight is sorted to a partition first, as in
 `kostka.counting`.
 """
 
+from functools import cache
+
 from .counting import _count, is_multiplicity_one_multi
 from .errors import EmptyShapeError, NonIntegerEntryError, SizeMismatchError
 from .errors import UnequalOrbitSizesError
@@ -62,27 +64,32 @@ def theta_kostka(entries, mu):
 def theta_positive(entries, mu):
     """Whether any orbit-weighted multitableau of this shape and weight exists.
 
-    The regular-semisimple two-part case (all shapes a single box, weight
-    of length two) is decided by a subset-sum dynamic program over the
-    orbit sizes; the general case falls back to a bounded search over
-    weight tuples, pruned by per-entry positivity.  The fallback is
-    exponential in the worst case, which matches the hardness of the
-    problem.
+    Positivity needs one witness, not a count, so it keeps its own search
+    instead of asking the counting engine whether `_count` is nonzero: the
+    engine sums every filling, which on single-box entries with many orbit
+    sizes is exponentially slower than stopping at the first one.  The
+    regular-semisimple two-part case (all shapes a single box, weight of
+    length two) is a subset-sum dynamic program over the orbit sizes.  The
+    general case tries, entry by entry, every weight the entry's shape
+    dominates that fits in what is left of mu.  Whether the remaining
+    entries fit depends only on the multiset of the remaining letters, so
+    the search is memoized on the sorted remainder.  It stays exponential
+    in the worst case, which matches the hardness of the problem.
     """
     entries, mu = _checked(entries, mu)
     if len(mu) == 2 and all(shape == (1,) for _, shape in entries):
         return _subset_sum([s for s, _ in entries], mu[0])
-    l = len(mu)
 
+    @cache
     def rec(k, remaining):
         if k == len(entries):
-            return all(x == 0 for x in remaining)
+            return not remaining
         orbit_size, shape = entries[k]
         caps = tuple(x // orbit_size for x in remaining)
         for v in bounded_compositions(sum(shape), caps):
             if not _dominates(shape, sorted_weight(v)):
                 continue
-            rest = tuple(remaining[i] - orbit_size * v[i] for i in range(l))
+            rest = sorted_weight([x - orbit_size * y for x, y in zip(remaining, v)])
             if rec(k + 1, rest):
                 return True
         return False

@@ -69,8 +69,10 @@ def dominates(a, b):
 
 
 def _dominates(a, b):
-    """`dominates` for normalized a and b of equal size.  Stopping at the
-    shorter is sound: past it, its prefix sums equal the common size."""
+    """`dominates` without the checks: a and b must have equal totals, and
+    be either normalized or of equal length.  Zip stops at the shorter,
+    which is sound for normalized input: past its end its prefix sums stay
+    at the common total, which no prefix sum of the other exceeds."""
     return all(map(ge, accumulate(a), accumulate(b)))
 
 
@@ -101,7 +103,8 @@ def tilde(m):
 
 
 def _tilde(m):
-    """`tilde` for a normalized multipartition."""
+    """`tilde` without the checks: the zero-padded column sums of any
+    tuples of integers, such as a normalized multipartition."""
     return tuple(map(sum, zip_longest(*m, fillvalue=0)))
 
 

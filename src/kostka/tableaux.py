@@ -7,9 +7,11 @@ strips): it serves as the independent oracle that the fast counting
 predicates are checked against.
 """
 
+from collections import Counter
 from itertools import product
 
 from .errors import (
+    NegativeEntryError,
     NonIntegerEntryError,
     NotDominatedError,
     ShapeMismatchError,
@@ -33,11 +35,15 @@ def shape_of(rows):
 
 
 def _rows(rows):
-    """Tuple of row tuples, every entry an integer."""
+    """Tuple of row tuples, every entry a positive integer: tableau
+    entries are the letters 1, 2, ..., so 0 and below are refused."""
     try:
-        return tuple(map(integers, rows))
+        rows = tuple(map(integers, rows))
     except TypeError:
         raise NonIntegerEntryError(f"not a sequence of rows: {rows!r}") from None
+    if any(e < 1 for r in rows for e in r):
+        raise NegativeEntryError(f"tableau entries must be at least 1: {rows}")
+    return rows
 
 
 def is_semistandard(rows, shape=None):
@@ -69,9 +75,7 @@ def weight(rows):
 
 def multi_weight(components):
     """Coordinate-wise sum of the component weights."""
-    weights = [weight(c) for c in components]
-    depth = max((len(w) for w in weights), default=0)
-    return tuple(sum(part(w, i) for w in weights) for i in range(depth))
+    return _tilde([weight(c) for c in components])
 
 
 def greedy_tableau(shape, mu):
@@ -120,19 +124,14 @@ def redistribute_columns(rows, target):
     shape = shape_of(rows)
     if _tilde(target) != shape:
         raise ShapeMismatchError(f"tilde {_tilde(target)} != shape {shape}")
-    needed = []
-    for comp in target:
-        counts = {}
-        for length in conjugate(comp):
-            counts[length] = counts.get(length, 0) + 1
-        needed.append(counts)
+    needed = [Counter(conjugate(comp)) for comp in target]
     assigned = [[] for _ in target]
     width = shape[0] if shape else 0
     for c in range(width):
         col = [rows[i][c] for i in range(len(shape)) if shape[i] > c]
         length = len(col)
         for j, counts in enumerate(needed):
-            if counts.get(length, 0) > 0:
+            if counts[length] > 0:
                 counts[length] -= 1
                 assigned[j].append(col)
                 break

@@ -5,6 +5,7 @@ tableaux are built by filling boxes one at a time, so agreement with the
 library is a genuinely independent check.
 """
 
+from functools import cache
 from itertools import combinations
 from math import factorial, prod
 
@@ -113,3 +114,20 @@ def schur_at_ones(shape, letters):
     letters, by the hook-content formula."""
     cells = list(_cells(shape))
     return prod(letters + c for c, _ in cells) // prod(h for _, h in cells)
+
+
+def matrix_count(rows, cols):
+    """Number of matrices over the non-negative integers with the given row
+    and column sums, by a transport DP: fill one row at a time; the state
+    is the multiset of column sums still open, sorted, zeros dropped."""
+
+    @cache
+    def fill(i, open_cols):
+        if i == len(rows):
+            return 0 if open_cols else 1
+        return sum(
+            fill(i + 1, tuple(sorted(filter(None, map(int.__sub__, open_cols, v)))))
+            for v in bounded_compositions(rows[i], open_cols)
+        )
+
+    return fill(0, tuple(sorted(filter(None, cols))))

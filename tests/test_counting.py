@@ -28,7 +28,7 @@ from kostka.partitions import (
     tilde,
 )
 from kostka.tableaux import enumerate_tableaux
-from oracles import multi_standard_count, standard_count
+from oracles import matrix_count, multi_standard_count, standard_count
 
 
 def test_kostka_known_values():
@@ -103,6 +103,19 @@ def test_column_sums_on_shuffled_compositions():
             rng.shuffle(w)
             words = factorial(n) // prod(map(factorial, w))
             assert sum(kostka(lam, w) * standard_count(lam) for lam in lams) == words
+
+
+def test_kostka_products_count_matrices():
+    # sum over lambda of K(lambda, mu) K(lambda, nu) counts the matrices
+    # over the non-negative integers with row sums mu and column sums nu
+    # (RSK), which a transport DP counts without the strip recursion
+    for n in range(0, 10):
+        lams = list(partitions_of(n))
+        table = {(lam, mu): kostka(lam, mu) for lam in lams for mu in lams}
+        for mu in lams:
+            for nu in lams:
+                got = sum(table[lam, mu] * table[lam, nu] for lam in lams)
+                assert got == matrix_count(mu, nu), (mu, nu)
 
 
 def test_chain_memo_stays_small():
@@ -300,6 +313,9 @@ def test_multiplicity_one_accepts_compositions():
 
 def test_verify_rejects_bad_certificates():
     assert not verify_certificate((2, 1), (1, 1, 1), (3,))
+    # a block dominates its letters but holds more boxes than them
+    assert verify_certificate((3,), (2,), (1,)) is False
+    assert verify_certificate_multi(((2,), (1,)), (2,), (1,)) is False
     assert not verify_certificate((6, 3, 3), (5, 4, 3), (1, 3))  # block (3,3) vs (4,3)
     assert not verify_certificate((6, 3, 3), (5, 4, 3), (2,))  # does not end at l
     assert not verify_certificate_multi(((1,), (1,)), (1, 1), (2,))

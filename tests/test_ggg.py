@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from math import factorial, prod
 
@@ -110,6 +111,33 @@ def test_theta_positive_iff_count_positive():
                 assert theta_positive(entries, mu) == (
                     theta_kostka(entries, mu) > 0
                 )
+    # mixed shapes and orbit sizes past n = 5, where the search is memoized
+    entries = ((2, (2, 1)), (3, (1, 1)), (5, (1,)))
+    for mu in partitions_of(theta_size(entries)):
+        assert theta_positive(entries, mu) == (theta_kostka(entries, mu) > 0), mu
+
+
+def _timed(call, *args):
+    start = time.monotonic()
+    return call(*args), time.monotonic() - start
+
+
+def test_theta_positive_infeasible_single_boxes_in_time():
+    # even orbit sizes cannot fill odd parts; a search that revisits every
+    # order of the same remainder takes seconds here
+    entries = [(2 * (i % 7 + 1), (1,)) for i in range(14)]
+    found, elapsed = _timed(theta_positive, entries, (39, 37, 36))
+    assert found is False
+    assert elapsed < 2
+
+
+def test_theta_positive_stops_at_one_witness():
+    # counting every filling of these eighteen boxes takes far longer than
+    # finding one, so positivity must not be decided by a count
+    entries = [(s, (1,)) for s in range(1, 19)]
+    found, elapsed = _timed(theta_positive, entries, (58, 57, 56))
+    assert found is True
+    assert elapsed < 2
 
 
 def test_subset_sum_fast_path_vs_exhaustive():

@@ -143,6 +143,11 @@ def test_bad_input_raises_the_same_error_everywhere(call, args, error):
         (is_semistandard, ([[1, "a"]],), NonIntegerEntryError),
         (weight, ([[1.5]],), NonIntegerEntryError),
         (redistribute_columns, ([[1.5]], ((1,),)), NonIntegerEntryError),
+        # tableau entries are the letters 1, 2, ...: zero and below are refused
+        (weight, ([[0, 1]],), NegativeEntryError),
+        (weight, ([[-2]],), NegativeEntryError),
+        (is_semistandard, ([[-1, 0]],), NegativeEntryError),
+        (redistribute_columns, ([[0, 1]], ((1,), (1,))), NegativeEntryError),
     ],
 )
 def test_bad_containers_raise_kostka_errors(call, args, error):

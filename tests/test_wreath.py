@@ -74,9 +74,11 @@ def test_decompose_multiplicities_are_kostka_numbers():
 
 
 def test_decompose_degree_identity():
-    # constituent degrees weighted by multiplicity sum to (r/d)^n n!/prod mu_i!
-    for r, d in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (4, 2)]:
-        for n in range(1, 5):
+    # constituent degrees weighted by multiplicity sum to (r/d)^n n!/prod mu_i!;
+    # to n = 7 the coarse weights, where the dominance pre-check skips most
+    # labels, are covered too, so a wrong pre-check that drops one fails
+    for r, d, top in [(1, 1, 4), (2, 1, 7), (2, 2, 4), (3, 1, 7), (3, 3, 4), (4, 2, 7)]:
+        for n in range(1, top + 1):
             for mu in partitions_of(n):
                 got = sum(
                     m * irreducible_degree(label)
@@ -85,7 +87,7 @@ def test_decompose_degree_identity():
                 expected = (r // d) ** n * factorial(n)
                 for part in mu:
                     expected //= factorial(part)
-                assert got == expected
+                assert got == expected, (r, d, mu)
 
 
 def test_decompose_full_weight_is_multiplicity_free():
