@@ -31,13 +31,15 @@ def _load_json_arg(text):
     """Inline JSON, or @file to read the JSON from a file."""
     if text.startswith("@"):
         try:
-            with open(text[1:]) as fh:
+            with open(text[1:], encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(str(exc)) from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError is JSONDecodeError or an integer past the digit limit;
+    # RecursionError is an array or object nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from None
 
 

@@ -191,6 +191,33 @@ def test_parse_error_exits_two(capsys):
     assert err["error"]["type"] == "ParseError"
 
 
+def test_shape_file_not_utf8_exits_two(capsys, tmp_path):
+    f = tmp_path / "shape.json"
+    f.write_bytes(b"\xff\xfe[[1]]")
+    code, out, err = run(capsys, "count-multi", "--shape", "@" + str(f), "--weight", "1")
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "ParseError"
+
+
+def test_json_nested_too_deep_exits_two(capsys, tmp_path):
+    f = tmp_path / "shape.json"
+    f.write_text("[" * 100_000)
+    code, out, err = run(capsys, "count-multi", "--shape", "@" + str(f), "--weight", "1")
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "ParseError"
+
+
+def test_json_integer_too_long_exits_two(capsys):
+    # json refuses integers past the interpreter's digit limit with a ValueError
+    shape = "[[" + "1" * 5000 + "]]"
+    code, out, err = run(capsys, "count-multi", "--shape", shape, "--weight", "1")
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "ParseError"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

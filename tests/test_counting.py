@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kostka.counting import (
+    _inner_shapes,
     _strip_count,
+    _strips,
     is_multiplicity_one,
     is_multiplicity_one_multi,
     is_positive,
@@ -27,7 +29,7 @@ from kostka.partitions import (
     sort_to_partition,
     tilde,
 )
-from kostka.tableaux import enumerate_tableaux
+from kostka.tableaux import _strips_between, enumerate_tableaux
 from oracles import matrix_count, multi_standard_count, standard_count
 
 
@@ -121,8 +123,10 @@ def test_kostka_products_count_matrices():
 def test_chain_memo_stays_small():
     # a weight is keyed by its runs, so a chain of n letters keeps O(n)
     # entries of constant size; keys that held the whole weight prefix
-    # would keep O(n^2) memory, about 2 MiB for this call
+    # would keep O(n^2) memory, about 2 MiB for this call.  Both memos start
+    # cold, so both count toward the limit
     _strip_count.cache_clear()
+    _strips.cache_clear()
     tracemalloc.start()
     try:
         kostka((398, 2), (1,) * 400)
@@ -130,6 +134,59 @@ def test_chain_memo_stays_small():
     finally:
         tracemalloc.stop()
     assert retained < 2**20
+
+
+def test_inner_shapes_match_the_oracle_strips():
+    # every nu with lambda/nu a horizontal m-strip, once each, against the
+    # enumeration oracle's own strip generator (which adds strips)
+    for n in range(0, 11):
+        for lam in partitions_of(n):
+            for m in range(0, (lam[0] if lam else 0) + 1):
+                got = _inner_shapes(lam, m)
+                want = {
+                    nu for nu in partitions_of(n - m) if lam in _strips_between(nu, lam, m)
+                }
+                assert len(got) == len(set(got)) and set(got) == want, (lam, m)
+
+
+def test_counts_do_not_depend_on_memo_state():
+    # every K(lambda, mu) with n <= 8, every r = 2 count with n <= 5, and a
+    # mixed-orbit Theta table whose shapes, in the engine's order, are also
+    # those of r = 2 counts; warm caches, then both memos cleared each call
+    calls = [
+        (kostka, (lam, mu))
+        for n in range(0, 9)
+        for lam in partitions_of(n)
+        for mu in partitions_of(n)
+    ]
+    calls += [
+        (kostka_multi, (shapes, mu))
+        for n in range(0, 6)
+        for shapes in multipartitions_of(n, 2)
+        for mu in partitions_of(n)
+    ]
+    entries = ((1, (1, 1)), (2, (2, 1)))
+    calls += [(theta_kostka, (entries, mu)) for mu in partitions_of(8)]
+    warm = [f(*args) for f, args in calls]
+    cold = []
+    for f, args in calls:
+        _strip_count.cache_clear()
+        _strips.cache_clear()
+        cold.append(f(*args))
+    assert cold == warm
+
+
+def test_strip_memo_is_bounded():
+    # a sweep to n = 10 meets more distinct strip steps than the memo keeps
+    _strips.cache_clear()
+    for n in range(0, 11):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                kostka(lam, mu)
+    info = _strips.cache_info()
+    assert info.maxsize is not None
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
 
 
 def test_kostka_matches_enumeration():
