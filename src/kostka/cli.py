@@ -50,13 +50,6 @@ def parse_multipartition(text):
     return tuple(tuple(c) for c in data)
 
 
-def parse_shape_arg(text):
-    """Either a comma partition or a JSON multipartition."""
-    if text.lstrip().startswith(("[", "@")):
-        return parse_multipartition(text), True
-    return parse_partition(text), False
-
-
 def parse_theta_entries(text):
     data = _load_json_arg(text)
     if not isinstance(data, list):
@@ -75,33 +68,29 @@ def tableau_json(rows):
     return {"shape": [len(r) for r in rows], "rows": [list(r) for r in rows]}
 
 
-def multitableau_json(components):
-    return {"components": [tableau_json(rows) for rows in components]}
-
-
-def certificate_json(indices):
-    return {"indices": list(indices)}
-
-
-def _cmd_positive(args):
-    shape, is_multi = parse_shape_arg(args.shape)
-    if not is_multi:
-        shape = (shape,)
-    ok = counting.is_positive(shape, parse_partition(args.weight))
-    return {"positive": ok}, ok
+def _json_shape(args):
+    """Whether --shape is read as JSON: always for the -multi subcommands,
+    never for the partition ones, else when it starts like JSON or @file."""
+    if args.shape_form == "auto":
+        return args.shape.lstrip().startswith(("[", "@"))
+    return args.shape_form == "json"
 
 
 def _shapes(args):
-    """--shape as a multipartition: JSON for the -multi subcommands, else
-    one comma-separated partition."""
-    if args.multi:
+    """--shape as a multipartition; a comma-separated partition is read as
+    the one-component case."""
+    if _json_shape(args):
         return parse_multipartition(args.shape)
     return (parse_partition(args.shape),)
 
 
+def _cmd_positive(args):
+    ok = counting.is_positive(_shapes(args), parse_partition(args.weight))
+    return {"positive": ok}, ok
+
+
 def _cmd_count(args):
-    shapes = _shapes(args)
-    w = parse_partition(args.weight)
+    shapes, w = _shapes(args), parse_partition(args.weight)
     if args.oracle:
         n = len(tableaux.enumerate_multitableaux(shapes, w))
     else:
@@ -110,11 +99,10 @@ def _cmd_count(args):
 
 
 def _cmd_mult_one(args):
-    shapes = _shapes(args)
-    cert = counting.is_multiplicity_one_multi(shapes, parse_partition(args.weight))
+    cert = counting.is_multiplicity_one_multi(_shapes(args), parse_partition(args.weight))
     doc = {"multiplicity_one": cert is not None}
     if cert is not None:
-        doc["certificate"] = certificate_json(cert)
+        doc["certificate"] = {"indices": list(cert)}
     return doc, cert is not None
 
 
@@ -124,25 +112,21 @@ def _cmd_unique(args):
 
 
 def _cmd_enumerate(args):
-    shape, is_multi = parse_shape_arg(args.shape)
-    w = parse_partition(args.weight)
-    if is_multi:
-        found = tableaux.enumerate_multitableaux(shape, w)
-        doc = {"count": str(len(found))}
-        if not args.count_only:
-            doc["multitableaux"] = [multitableau_json(mt) for mt in found]
-    else:
-        found = tableaux.enumerate_tableaux(shape, w)
-        doc = {"count": str(len(found))}
-        if not args.count_only:
-            doc["tableaux"] = [tableau_json(t) for t in found]
+    found = tableaux.enumerate_multitableaux(_shapes(args), parse_partition(args.weight))
+    doc = {"count": str(len(found))}
+    if not args.count_only:
+        if _json_shape(args):
+            doc["multitableaux"] = [
+                {"components": list(map(tableau_json, mt))} for mt in found
+            ]
+        else:
+            doc["tableaux"] = [tableau_json(rows) for (rows,) in found]
     return doc, None
 
 
 def _cmd_greedy(args):
-    rows = tableaux.greedy_tableau(
-        parse_partition(args.shape), parse_partition(args.weight)
-    )
+    (shape,) = _shapes(args)
+    rows = tableaux.greedy_tableau(shape, parse_partition(args.weight))
     return {"tableau": tableau_json(rows)}, None
 
 
@@ -184,36 +168,41 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, **arguments):
+    shape_help = {
+        "comma": "partition, comma-separated",
+        "json": "multipartition, JSON or @file",
+        "auto": "partition or JSON multipartition",
+    }
+
+    def add(name, func, shape=None, **arguments):
         p = sub.add_parser(name)
+        if shape:
+            p.add_argument("--shape", required=True, help=shape_help[shape])
         for arg, kwargs in arguments.items():
             p.add_argument("--" + arg.replace("_", "-"), **kwargs)
-        p.set_defaults(func=func, multi=name.endswith("-multi"))
+        p.set_defaults(func=func, shape_form=shape)
         return p
 
-    shape_p = dict(required=True, help="partition, comma-separated")
-    shape_m = dict(required=True, help="multipartition, JSON or @file")
-    shape_any = dict(required=True, help="partition or JSON multipartition")
     weight = dict(required=True, help="weight composition, comma-separated")
     exit_code = dict(action="store_true", help="exit 0 if true, 1 if false")
     oracle = dict(action="store_true", help="count by enumeration instead")
 
-    add("count", _cmd_count, shape=shape_p, weight=weight, oracle=oracle)
-    add("count-multi", _cmd_count, shape=shape_m, weight=weight, oracle=oracle)
-    add("positive", _cmd_positive, shape=shape_any, weight=weight, exit_code=exit_code)
-    add("mult-one", _cmd_mult_one, shape=shape_p, weight=weight, exit_code=exit_code)
-    add("mult-one-multi", _cmd_mult_one, shape=shape_m, weight=weight,
+    add("count", _cmd_count, shape="comma", weight=weight, oracle=oracle)
+    add("count-multi", _cmd_count, shape="json", weight=weight, oracle=oracle)
+    add("positive", _cmd_positive, shape="auto", weight=weight, exit_code=exit_code)
+    add("mult-one", _cmd_mult_one, shape="comma", weight=weight, exit_code=exit_code)
+    add("mult-one-multi", _cmd_mult_one, shape="json", weight=weight,
         exit_code=exit_code)
-    add("unique", _cmd_unique, shape=shape_p, exit_code=exit_code)
-    add("unique-multi", _cmd_unique, shape=shape_m, exit_code=exit_code)
+    add("unique", _cmd_unique, shape="comma", exit_code=exit_code)
+    add("unique-multi", _cmd_unique, shape="json", exit_code=exit_code)
     add(
         "enumerate",
         _cmd_enumerate,
-        shape=shape_any,
+        shape="auto",
         weight=weight,
         count_only=dict(action="store_true", help="emit the count only"),
     )
-    add("greedy", _cmd_greedy, shape=shape_p, weight=weight)
+    add("greedy", _cmd_greedy, shape="comma", weight=weight)
     add(
         "wreath-decompose",
         _cmd_wreath,
@@ -235,14 +224,10 @@ def main(argv=None):
     try:
         doc, verdict = args.func(args)
     except KostkaError as exc:
-        json.dump(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"error": error}), file=sys.stderr)
         return 2
-    json.dump(doc, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps(doc))
     if getattr(args, "exit_code", False) and verdict is not None:
         return 0 if verdict else 1
     return 0

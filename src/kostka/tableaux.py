@@ -2,12 +2,14 @@
 
 A tableau is a tuple of row tuples; its shape is the tuple of row lengths.
 A multitableau is a tuple of tableaux, one per multipartition component.
-Enumeration here is deliberately brute force (backtracking over horizontal
-strips): it serves as the independent oracle that the fast counting
+Enumeration here is deliberately brute force: letter by letter, with one
+horizontal strip per component, a single tableau being the one-component
+case.  It serves as the independent oracle that the fast counting
 predicates are checked against.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import product
 
 from .errors import (
@@ -75,7 +77,10 @@ def weight(rows):
 
 def multi_weight(components):
     """Coordinate-wise sum of the component weights."""
-    return _tilde([weight(c) for c in components])
+    try:
+        return _tilde(list(map(weight, components)))
+    except TypeError:
+        raise NonIntegerEntryError(f"not a sequence of tableaux: {components!r}") from None
 
 
 def greedy_tableau(shape, mu):
@@ -137,14 +142,10 @@ def redistribute_columns(rows, target):
                 break
         else:
             raise ShapeMismatchError(f"no component needs a column of length {length}")
-    components = []
-    for j, comp in enumerate(target):
-        cols = assigned[j]
-        comp_rows = tuple(
-            tuple(col[i] for col in cols if len(col) > i) for i in range(len(comp))
-        )
-        components.append(comp_rows)
-    return tuple(components)
+    return tuple(
+        tuple(tuple(col[i] for col in cols if len(col) > i) for i in range(len(comp)))
+        for comp, cols in zip(target, assigned)
+    )
 
 
 def _strips_between(inner, outer, m):
@@ -169,14 +170,13 @@ def _strips_between(inner, outer, m):
 
 
 def _chain_to_rows(shape, chain):
-    rows = [[0] * width for width in shape]
+    rows = [[] for _ in shape]
     prev = ()
     for entry, nu in enumerate(chain, start=1):
-        for i in range(len(nu)):
-            for c in range(part(prev, i), nu[i]):
-                rows[i][c] = entry
+        for i, width in enumerate(nu):
+            rows[i] += [entry] * (width - part(prev, i))
         prev = nu
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def enumerate_tableaux(shape, w):
@@ -185,54 +185,39 @@ def enumerate_tableaux(shape, w):
     Ordered lexicographically by row-major entry sequence; the list length
     is the Kostka number.
     """
-    shape = normalize(shape)
-    w = composition(w)
-    if sum(shape) != sum(w):
-        raise SizeMismatchError(f"|{shape}| != |{w}|")
-    results = []
-
-    def extend(i, inner, chain):
-        if i == len(w):
-            results.append(_chain_to_rows(shape, chain))
-            return
-        for nu in _strips_between(inner, shape, w[i]):
-            extend(i + 1, nu, chain + [nu])
-
-    extend(0, (), [])
-    results.sort(key=lambda rows: tuple(e for r in rows for e in r))
-    return results
+    return [rows for (rows,) in enumerate_multitableaux((shape,), w)]
 
 
 def enumerate_multitableaux(shapes, w):
     """All semistandard multitableaux of the given shape and total weight.
 
-    Ordered lexicographically by the concatenated component entry
-    sequences.
+    Letter by letter: each letter's multiplicity is split among the
+    components within their remaining room, and each component takes a
+    horizontal strip of its share.  Ordered lexicographically by the
+    concatenated component entry sequences.
     """
     shapes = normalize_multi(shapes)
     w = composition(w)
-    if sum(sum(c) for c in shapes) != sum(w):
+    if sum(map(sum, shapes)) != sum(w):
         raise SizeMismatchError(f"|{shapes}| != |{w}|")
-    sizes = [sum(c) for c in shapes]
     results = []
-    for split in _weight_splits(sizes, w):
-        per_comp = [enumerate_tableaux(shapes[j], split[j]) for j in range(len(shapes))]
-        if any(not lst for lst in per_comp):
-            continue
-        results.extend(product(*per_comp))
-    results.sort(
-        key=lambda mt: tuple(e for rows in mt for r in rows for e in r)
-    )
+    chain = []  # one tuple of component shapes per letter placed so far
+    # many branches reach the same inner shape; the cache lives for one call
+    strips = cache(lambda inner, shape, m: tuple(_strips_between(inner, shape, m)))
+
+    def extend(inners):
+        i = len(chain)
+        if i == len(w):
+            chains = [[nus[j] for nus in chain] for j in range(len(shapes))]
+            results.append(tuple(map(_chain_to_rows, shapes, chains)))
+            return
+        room = [sum(shape) - sum(nu) for shape, nu in zip(shapes, inners)]
+        for split in bounded_compositions(w[i], room):
+            for nus in product(*map(strips, inners, shapes, split)):
+                chain.append(nus)
+                extend(nus)
+                chain.pop()
+
+    extend(((),) * len(shapes))
+    results.sort(key=lambda mt: tuple(e for rows in mt for r in rows for e in r))
     return results
-
-
-def _weight_splits(sizes, w):
-    """All ways to split weight w into per-component weights of given sizes."""
-    if not sizes:
-        if all(x == 0 for x in w):
-            yield ()
-        return
-    for head in bounded_compositions(sizes[0], w):
-        rest_w = tuple(w[i] - head[i] for i in range(len(w)))
-        for rest in _weight_splits(sizes[1:], rest_w):
-            yield (head,) + rest

@@ -6,7 +6,7 @@ library is a genuinely independent check.
 """
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, prod
 
 from kostka.partitions import bounded_compositions
@@ -39,6 +39,28 @@ def naive_tableaux(shape, w):
 
     fill(0)
     return out
+
+
+def naive_multitableaux(shapes, w):
+    """All multitableaux of the shapes and total weight, sorted by their
+    concatenated entries: every split of the weight among the components,
+    each component filled box by box."""
+
+    def splits(j, rest):
+        if j == len(shapes):
+            if not any(rest):
+                yield ()
+            return
+        for head in bounded_compositions(sum(shapes[j]), rest):
+            for tail in splits(j + 1, tuple(map(int.__sub__, rest, head))):
+                yield (head,) + tail
+
+    found = [
+        mt
+        for split in splits(0, tuple(w))
+        for mt in product(*map(naive_tableaux, shapes, split))
+    ]
+    return sorted(found, key=lambda mt: tuple(e for rows in mt for r in rows for e in r))
 
 
 def column_count_strip_check(outer, inner):

@@ -12,6 +12,9 @@ import pytest
 from kostka import (
     decompose_permutation_character,
     dominates,
+    enumerate_multitableaux,
+    enumerate_tableaux,
+    greedy_tableau,
     is_multiplicity_one,
     is_multiplicity_one_multi,
     is_positive,
@@ -37,6 +40,7 @@ from kostka.errors import (
     NonMonotoneError,
     SizeMismatchError,
 )
+from kostka.tableaux import multi_weight
 
 GOOD_SHAPE, GOOD_WEIGHT = (2, 1), (2, 1)
 
@@ -70,6 +74,9 @@ PAIR_CALLS = {
     "verify_certificate": lambda lam, w: verify_certificate(lam, w, (1, 2)),
     "verify_certificate_multi": lambda lam, w: verify_certificate_multi((lam, ()), w, (1, 2)),
     "dominates": dominates,
+    "enumerate_tableaux": enumerate_tableaux,
+    "enumerate_multitableaux": lambda lam, w: enumerate_multitableaux((lam, ()), w),
+    "greedy_tableau": greedy_tableau,
     "theta_kostka": lambda lam, w: theta_kostka([(1, lam)], w),
     "theta_positive": lambda lam, w: theta_positive([(1, lam)], w),
     "zelcor_multiplicity_one": lambda lam, w: zelcor_multiplicity_one([(1, lam)], w),
@@ -140,6 +147,8 @@ def test_bad_input_raises_the_same_error_everywhere(call, args, error):
         (is_semistandard, (5,), NonIntegerEntryError),
         (weight, (5,), NonIntegerEntryError),
         (redistribute_columns, (5, ((1,),)), NonIntegerEntryError),
+        (multi_weight, (5,), NonIntegerEntryError),
+        (multi_weight, (None,), NonIntegerEntryError),
         (is_semistandard, ([[1, "a"]],), NonIntegerEntryError),
         (weight, ([[1.5]],), NonIntegerEntryError),
         (redistribute_columns, ([[1.5]], ((1,),)), NonIntegerEntryError),

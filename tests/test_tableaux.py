@@ -12,7 +12,7 @@ from kostka.tableaux import (
     shape_of,
     weight,
 )
-from oracles import naive_tableaux
+from oracles import naive_multitableaux, naive_tableaux
 
 SAMPLE_TABLEAU = ((1, 1, 1, 2), (2, 2), (3, 3), (4,))
 
@@ -183,6 +183,17 @@ def test_enumerate_multi_single_component_reduction():
                 assert [
                     mt[0] for mt in enumerate_multitableaux((lam,), mu)
                 ] == enumerate_tableaux(lam, mu)
+
+
+def test_enumerate_multi_matches_naive_filling():
+    # the box-filling oracle splits the weight among the components first,
+    # so a split that leaves a component without boxes is covered as well
+    for n in range(0, 6):
+        for r in (1, 2, 3):
+            for shapes in multipartitions_of(n, r):
+                for mu in partitions_of(n):
+                    found = enumerate_multitableaux(shapes, mu)
+                    assert found == naive_multitableaux(shapes, mu), (shapes, mu)
 
 
 def test_enumerate_multi_nonempty_iff_tilde_dominates(multitableau_grid):

@@ -75,19 +75,26 @@ def test_decompose_multiplicities_are_kostka_numbers():
 
 def test_decompose_degree_identity():
     # constituent degrees weighted by multiplicity sum to (r/d)^n n!/prod mu_i!;
-    # to n = 7 the coarse weights, where the dominance pre-check skips most
-    # labels, are covered too, so a wrong pre-check that drops one fails
-    for r, d, top in [(1, 1, 4), (2, 1, 7), (2, 2, 4), (3, 1, 7), (3, 3, 4), (4, 2, 7)]:
-        for n in range(1, top + 1):
-            for mu in partitions_of(n):
-                got = sum(
-                    m * irreducible_degree(label)
-                    for label, m in decompose_permutation_character(r, d, mu)
-                )
-                expected = (r // d) ** n * factorial(n)
-                for part in mu:
-                    expected //= factorial(part)
-                assert got == expected, (r, d, mu)
+    # to n = 9 the coarse weights, where the dominance pre-check skips most
+    # labels, are covered too, so a wrong pre-check that drops one fails;
+    # at the standard weights 1^10 and 1^12 every allowed label is a constituent
+    tops = [(1, 1, 4), (2, 1, 9), (2, 2, 4), (3, 1, 7), (3, 3, 4), (4, 2, 9)]
+    cases = [
+        (r, d, mu)
+        for r, d, top in tops
+        for n in range(1, top + 1)
+        for mu in partitions_of(n)
+    ]
+    cases += [(3, 1, (1,) * 10), (2, 1, (1,) * 12)]
+    for r, d, mu in cases:
+        got = sum(
+            m * irreducible_degree(label)
+            for label, m in decompose_permutation_character(r, d, mu)
+        )
+        expected = (r // d) ** sum(mu) * factorial(sum(mu))
+        for part in mu:
+            expected //= factorial(part)
+        assert got == expected, (r, d, mu)
 
 
 def test_decompose_full_weight_is_multiplicity_free():
