@@ -31,6 +31,7 @@ multipartition twin.
 """
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import SizeMismatchError
 from .partitions import (
@@ -110,13 +111,14 @@ def _count(entries, w):
     The count is symmetric in the entries, so empty shapes are dropped and
     the rest sorted: every order of the same entries shares cache states.
     """
-    sizes, shapes = tuple(zip(*sorted(e for e in entries if e[1]))) or ((), ())
-    runs = []
+    sizes, shapes = tuple(zip(*sorted(filter(itemgetter(1), entries)))) or ((), ())
+    runs, last = [], None
     for m in w:
-        if runs and runs[-2] == m:
+        if m == last:
             runs[-1] += 1
         else:
             runs += (m, 1)
+            last = m
     return _strip_count(sizes, shapes, tuple(runs))
 
 
@@ -178,7 +180,7 @@ def is_multiplicity_one_multi(shapes, weight):
     """
     shapes, mu = _checked(shapes, weight)
     l = len(mu)
-    if max(map(len, shapes), default=0) > l:
+    if shapes and max(map(len, shapes)) > l:
         return None
     indices = []
     start = balance = 0
@@ -238,10 +240,10 @@ def verify_certificate_multi(shapes, mu, indices):
     indices = integers(indices)
     l = len(mu)
     if l == 0:
-        return indices == () and all(c == () for c in shapes)
-    if list(indices) != sorted(set(indices)) or indices[0] < 1 or indices[-1] != l:
+        return indices == () and not any(shapes)
+    if indices != tuple(sorted(set(indices))) or indices[0] < 1 or indices[-1] != l:
         return False
-    if not shapes or any(len(c) > l for c in shapes):
+    if not shapes or max(map(len, shapes)) > l:
         return False
     padded = [c + (0,) * (l - len(c)) for c in shapes]
     row_sums = list(map(sum, zip(*padded)))

@@ -25,13 +25,13 @@ from .partitions import (
 def normalize_entries(entries):
     """Validated tuple of (orbit size, partition) pairs."""
     try:
-        entries = [(orbit_size, shape) for orbit_size, shape in entries]
+        sizes, shapes = tuple(zip(*[(size, shape) for size, shape in entries])) or ((), ())
     except (TypeError, ValueError):
         raise NonIntegerEntryError(f"not (orbit size, partition) pairs: {entries!r}") from None
-    sizes = composition([orbit_size for orbit_size, _ in entries])
+    sizes = composition(sizes)
     if 0 in sizes:
         raise EmptyShapeError("orbit size 0 must be positive")
-    shapes = normalize_multi(shape for _, shape in entries)
+    shapes = normalize_multi(shapes)
     if () in shapes:
         raise EmptyShapeError("orbit entries must carry a nonempty partition")
     return tuple(zip(sizes, shapes))

@@ -1,10 +1,17 @@
 """Partitions, compositions, multipartitions, and the dominance order.
 
-Partitions are plain tuples of positive integers in weakly decreasing
-order; the empty partition is ().  Compositions are tuples of non-negative
-integers.  Multipartitions are tuples of partitions (empty components
-allowed).  All operations accept zero-padded input and strip zeros on
-normalization, so equality stays structural.
+Partitions are tuples of positive integers in weakly decreasing order; the
+empty partition is ().  Compositions are tuples of non-negative integers.
+Multipartitions are tuples of partitions (empty components allowed).
+
+The input contract: each input is read once, through `integers`,
+`composition`, `normalize` or `sorted_weight`, whose checks run in this
+order, the first failure deciding the error: an iterable whose every entry
+is an integer, not a float, string, bool or list (NonIntegerEntryError);
+no entry negative (NegativeEntryError); the parts of a partition, zeros
+stripped wherever they stand, weakly decreasing (NonMonotoneError); then,
+at the caller, equal sizes (SizeMismatchError).  A canonical tuple of plain
+ints comes back from `integers`, `composition` and `normalize` as itself.
 """
 
 from itertools import accumulate, zip_longest
@@ -32,18 +39,20 @@ def integers(raw):
 
 
 def composition(raw):
-    """Tuple of non-negative integers: the one check on every input entry."""
+    """Tuple of non-negative integers."""
     parts = integers(raw)
-    if min(parts, default=0) < 0:
+    if parts and min(parts) < 0:
         raise NegativeEntryError(f"negative part in {parts}")
     return parts
 
 
 def normalize(raw):
     """Canonical partition: zeros stripped, weakly decreasing enforced."""
-    parts = tuple(filter(None, composition(raw)))
-    if any(map(lt, parts, parts[1:])):
-        raise NonMonotoneError(f"parts increase in {parts}")
+    parts = integers(raw)
+    if any(map(lt, parts, parts[1:])) or parts and parts[-1] < 1:  # not canonical yet
+        parts = tuple(filter(None, composition(parts)))
+        if any(map(lt, parts, parts[1:])):
+            raise NonMonotoneError(f"parts increase in {parts}")
     return parts
 
 
@@ -76,25 +85,19 @@ def _dominates(a, b):
     return all(map(ge, accumulate(a), accumulate(b)))
 
 
-def contains(outer, inner):
-    """True iff the diagram of inner fits inside that of outer."""
-    outer, inner = normalize(outer), normalize(inner)
-    return all(part(outer, i) >= part(inner, i) for i in range(len(inner)))
-
-
 def is_horizontal_strip(outer, inner):
     """Whether outer/inner is a horizontal strip, with the strip size.
 
     Returns (True, |outer| - |inner|) when inner is contained in outer and
-    the skew diagram has at most one box per column; (False, 0) otherwise.
-    Non-containment is a false return, not an error.
+    the skew diagram has at most one box per column, that is when the
+    parts interlace, outer[0] >= inner[0] >= outer[1] >= inner[1] >= ...;
+    (False, 0) otherwise.  Non-containment is a false return, not an error.
     """
     outer, inner = normalize(outer), normalize(inner)
-    if not contains(outer, inner):
-        return False, 0
-    if any(part(outer, i + 1) > part(inner, i) for i in range(len(outer))):
-        return False, 0
-    return True, sum(outer) - sum(inner)
+    interlaced = all(map(ge, outer, inner)) and all(map(ge, inner, outer[1:]))
+    if len(inner) <= len(outer) <= len(inner) + 1 and interlaced:
+        return True, sum(outer) - sum(inner)
+    return False, 0
 
 
 def tilde(m):
@@ -121,7 +124,10 @@ def sort_to_partition(w):
 
 def sorted_weight(w):
     """The partition of `sort_to_partition`, without the permutation."""
-    return tuple(sorted(filter(None, composition(w)), reverse=True))
+    w = sorted(integers(w), reverse=True)
+    if w and w[-1] < 0:  # negative parts sort last, zeros just before them
+        raise NegativeEntryError(f"negative part in {tuple(w)}")
+    return tuple(w[: w.index(0)] if w and not w[-1] else w)
 
 
 def conjugate(p):

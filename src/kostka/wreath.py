@@ -71,7 +71,9 @@ def decompose_permutation_character(r, d, mu):
     """
     r, d = integers((r, d))
     mu = normalize(mu)
-    if r < 1 or d < 1 or r % d != 0:
+    if r < 1 or d < 1:
+        raise InvalidDivisorError(f"group orders must be positive: r = {r}, d = {d}")
+    if r % d:
         raise InvalidDivisorError(f"{d} does not divide {r}")
     n = sum(mu)
     out = []

@@ -2,14 +2,62 @@
 
 These deliberately avoid the horizontal-strip machinery of the package:
 tableaux are built by filling boxes one at a time, so agreement with the
-library is a genuinely independent check.
+library is a genuinely independent check.  Nothing here imports
+`kostka.partitions`, so the entry checks are compared with a reference
+that does not share their code.
 """
 
 from functools import cache
 from itertools import combinations, product
 from math import factorial, prod
+from operator import index
 
-from kostka.partitions import bounded_compositions
+from kostka.errors import NegativeEntryError, NonIntegerEntryError, NonMonotoneError
+
+
+def bounded_compositions(total, caps):
+    """Every tuple v with 0 <= v[i] <= caps[i] and sum(v) == total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for head in range(min(total, caps[0]) + 1):
+        for rest in bounded_compositions(total - head, caps[1:]):
+            yield (head,) + rest
+
+
+def checked_entries(raw, kind):
+    """The input contract by plain per-entry loops, one per check: what
+    `composition`, `normalize` or `sorted_weight` (kind "composition",
+    "partition" or "weight") returns for raw, or the error class it
+    raises.  The first failing check decides: an integer entry (a bool is
+    not one, an int subclass is read as its int value), then no negative
+    entry, then, for a partition, no part above the one before it once
+    zeros are stripped."""
+    try:
+        entries = list(raw)
+    except TypeError:
+        return NonIntegerEntryError
+    values = []
+    for e in entries:
+        if type(e) is bool:
+            return NonIntegerEntryError
+        try:
+            values.append(index(e))
+        except TypeError:
+            return NonIntegerEntryError
+    for v in values:
+        if v < 0:
+            return NegativeEntryError
+    if kind == "composition":
+        return tuple(values)
+    parts = [v for v in values if v != 0]
+    if kind == "weight":
+        return tuple(sorted(parts, reverse=True))
+    for i in range(1, len(parts)):
+        if parts[i - 1] < parts[i]:
+            return NonMonotoneError
+    return tuple(parts)
 
 
 def naive_tableaux(shape, w):

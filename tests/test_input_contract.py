@@ -7,7 +7,12 @@ that is bad in one way, so a check moved from one layer to another cannot
 silently disappear.
 """
 
+from enum import IntEnum
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import checked_entries
 
 from kostka import (
     decompose_permutation_character,
@@ -35,11 +40,13 @@ from kostka import (
 from kostka.errors import (
     EmptyShapeError,
     InvalidDivisorError,
+    KostkaError,
     NegativeEntryError,
     NonIntegerEntryError,
     NonMonotoneError,
     SizeMismatchError,
 )
+from kostka.partitions import composition, normalize, sorted_weight
 from kostka.tableaux import multi_weight
 
 GOOD_SHAPE, GOOD_WEIGHT = (2, 1), (2, 1)
@@ -167,3 +174,64 @@ def test_bad_containers_raise_kostka_errors(call, args, error):
 def test_verifiers_reject_a_size_mismatch():
     assert verify_certificate((2, 1), (2,), (1,)) is False
     assert verify_certificate_multi(((2, 1), ()), (2,), (1,)) is False
+
+
+class Letter(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+# Entries: mostly integers, zeros and negatives among them, so that every
+# check is reached; the rest each bad in its own way, or an IntEnum member,
+# which is an integer.
+ENTRY = st.one_of(
+    st.integers(-2, 5),
+    st.integers(0, 3),
+    st.sampled_from(Letter),
+    st.one_of(
+        st.booleans(),
+        st.floats(-2, 5),
+        st.sampled_from(["1", "a"]),
+        st.lists(st.integers(0, 2), max_size=2),
+    ),
+)
+# (container, entries), or ("scalar", a non-iterable)
+RAW = st.one_of(
+    st.tuples(
+        st.sampled_from(["tuple", "list", "generator"]),
+        st.one_of(st.lists(st.integers(-1, 4), max_size=8), st.lists(ENTRY, max_size=6)),
+    ),
+    st.tuples(st.just("scalar"), st.sampled_from([5, None, 2.5, True])),
+)
+CHECKS = {"composition": composition, "partition": normalize, "weight": sorted_weight}
+
+
+def _build(container, entries):
+    """A fresh input each call, since a generator is read only once."""
+    if container == "scalar":
+        return entries
+    if container == "generator":
+        return (e for e in entries)
+    return {"tuple": tuple, "list": list}[container](entries)
+
+
+@given(RAW)
+def test_entry_checks_match_the_reference(raw):
+    for kind, check in CHECKS.items():
+        expected = checked_entries(_build(*raw), kind)
+        if isinstance(expected, type):
+            with pytest.raises(KostkaError) as info:
+                check(_build(*raw))
+            assert type(info.value) is expected, kind
+        else:
+            got = check(_build(*raw))
+            assert type(got) is tuple and got == expected, kind
+            assert all(type(e) is int for e in got), kind
+
+
+@given(st.lists(st.integers(0, 5), max_size=8))
+def test_canonical_tuples_come_back_as_themselves(entries):
+    w = tuple(entries)
+    assert composition(w) is w
+    lam = tuple(sorted(filter(None, entries), reverse=True))
+    assert normalize(lam) is lam

@@ -119,6 +119,19 @@ def test_decompose_rejects_bad_divisor():
         decompose_permutation_character(2, 0, (2,))
 
 
+@pytest.mark.parametrize("r, d", [(-2, 1), (0, 1), (2, 0), (2, -1), (0, 0)])
+def test_decompose_names_a_non_positive_order(r, d):
+    # d = 1 divides every r, so a refusal there must not claim otherwise
+    with pytest.raises(InvalidDivisorError, match="must be positive") as exc:
+        decompose_permutation_character(r, d, (2,))
+    assert "does not divide" not in str(exc.value)
+
+
+def test_decompose_names_a_non_divisor():
+    with pytest.raises(InvalidDivisorError, match="^3 does not divide 4$"):
+        decompose_permutation_character(4, 3, (2,))
+
+
 def test_decompose_support_dominates_weight():
     mu = (3, 1)
     for label, _ in decompose_permutation_character(2, 1, mu):
