@@ -8,8 +8,6 @@ weight, so a composition weight is sorted to a partition first, as in
 `kostka.counting`.
 """
 
-from functools import cache
-
 from .counting import _count, is_multiplicity_one_multi
 from .errors import EmptyShapeError, NonIntegerEntryError, SizeMismatchError
 from .errors import UnequalOrbitSizesError
@@ -73,28 +71,34 @@ def theta_positive(entries, mu):
     general case tries, entry by entry, every weight the entry's shape
     dominates that fits in what is left of mu.  Whether the remaining
     entries fit depends only on the multiset of the remaining letters, so
-    the search is memoized on the sorted remainder.  It stays exponential
-    in the worst case, which matches the hardness of the problem.
+    the search is memoized on the sorted remainder.  An explicit stack of
+    lazy per-entry generators keeps it off Python's recursion limit.  It
+    stays exponential in the worst case, as the problem is NP-hard.
     """
     entries, mu = _checked(entries, mu)
     if len(mu) == 2 and all(shape == (1,) for _, shape in entries):
         return _subset_sum([s for s, _ in entries], mu[0])
+    # stack[k] yields what is left of mu once entries 0..k-1 are placed
+    stack, seen = [iter((mu,))], set()
+    while stack:
+        k = len(stack) - 1
+        rest = next(stack[-1], None)
+        if rest is None:
+            stack.pop()
+        elif k == len(entries):
+            return True
+        elif (k, rest) not in seen:
+            seen.add((k, rest))
+            stack.append(_remainders(*entries[k], rest))
+    return False
 
-    @cache
-    def rec(k, remaining):
-        if k == len(entries):
-            return not remaining
-        orbit_size, shape = entries[k]
-        caps = tuple(x // orbit_size for x in remaining)
-        for v in bounded_compositions(sum(shape), caps):
-            if not _dominates(shape, sorted_weight(v)):
-                continue
-            rest = sorted_weight([x - orbit_size * y for x, y in zip(remaining, v)])
-            if rec(k + 1, rest):
-                return True
-        return False
 
-    return rec(0, mu)
+def _remainders(orbit_size, shape, remaining):
+    """Sorted remainders after one entry takes a weight its shape dominates."""
+    caps = tuple(x // orbit_size for x in remaining)
+    for v in bounded_compositions(sum(shape), caps):
+        if _dominates(shape, sorted_weight(v)):
+            yield sorted_weight([x - orbit_size * y for x, y in zip(remaining, v)])
 
 
 def _subset_sum(values, target):
@@ -114,9 +118,9 @@ def zelcor_multiplicity_one(entries, mu):
     """
     entries, mu = _checked(entries, mu)
     sizes = {s for s, _ in entries}
-    if len(sizes) != 1:
+    if len(sizes) > 1:
         raise UnequalOrbitSizesError(f"orbit sizes {sorted(sizes)} differ")
-    w = sizes.pop()
+    w = sizes.pop() if sizes else 1
     if any(p % w for p in mu):
         return False
     shapes = tuple(shape for _, shape in entries)

@@ -2,15 +2,17 @@
 
 A tableau is a tuple of row tuples; its shape is the tuple of row lengths.
 A multitableau is a tuple of tableaux, one per multipartition component.
-Enumeration here is deliberately brute force: letter by letter, with one
-horizontal strip per component, a single tableau being the one-component
-case.  It serves as the independent oracle that the fast counting
-predicates are checked against.
+Enumeration is deliberately brute force: it is the independent oracle the
+fast counting predicates are checked against.  Placed corner to corner,
+the components form one skew shape; a loop over the letters fills it one
+horizontal strip at a time, a single tableau being the one-component case.
+The strips come from a recursion with one frame per row, faster than its
+loop form, so a shape of about 1 000 rows in all reaches Python's
+recursion limit; the number of letters is unbounded.
 """
 
 from collections import Counter
-from functools import cache
-from itertools import product
+from itertools import accumulate, pairwise
 
 from .errors import (
     NegativeEntryError,
@@ -22,7 +24,6 @@ from .errors import (
 from .partitions import (
     _dominates,
     _tilde,
-    bounded_compositions,
     composition,
     conjugate,
     integers,
@@ -148,34 +149,27 @@ def redistribute_columns(rows, target):
     )
 
 
-def _strips_between(inner, outer, m):
-    """All nu with inner <= nu <= outer and nu/inner a horizontal m-strip."""
-    n_rows = len(outer)
-
-    def rec(i, remaining):
-        if i == n_rows:
-            if remaining == 0:
-                yield ()
-            return
-        lo = part(inner, i)
-        hi = min(outer[i], lo + remaining)
-        if i >= 1:
-            hi = min(hi, part(inner, i - 1))  # at most one new box per column
-        for v in range(lo, hi + 1):
-            for rest in rec(i + 1, remaining - (v - lo)):
-                yield (v,) + rest
-
-    for nu in rec(0, m):
-        yield tuple(v for v in nu if v > 0)
+def _strips_between(inner, outer, m, i=0):
+    """Rows i on of each nu, inner <= nu <= outer, nu/inner a horizontal m-strip."""
+    if i == len(outer):
+        if m == 0:
+            yield ()
+        return
+    lo = part(inner, i)
+    hi = min(outer[i], lo + m)
+    if i:
+        hi = min(hi, part(inner, i - 1))  # at most one new box per column
+    for v in range(lo, hi + 1):
+        for rest in _strips_between(inner, outer, m - (v - lo), i + 1):
+            yield (v,) + rest
 
 
-def _chain_to_rows(shape, chain):
-    rows = [[] for _ in shape]
-    prev = ()
-    for entry, nu in enumerate(chain, start=1):
-        for i, width in enumerate(nu):
-            rows[i] += [entry] * (width - part(prev, i))
-        prev = nu
+def _chain_to_rows(chain):
+    """Rows of the skew tableau whose letter k fills chain[k] / chain[k - 1]."""
+    rows = [[] for _ in chain[0]]
+    for entry, (inner, nu) in enumerate(pairwise(chain), start=1):
+        for row, a, b in zip(rows, inner, nu):
+            row += [entry] * (b - a)
     return tuple(map(tuple, rows))
 
 
@@ -191,33 +185,34 @@ def enumerate_tableaux(shape, w):
 def enumerate_multitableaux(shapes, w):
     """All semistandard multitableaux of the given shape and total weight.
 
-    Letter by letter: each letter's multiplicity is split among the
-    components within their remaining room, and each component takes a
-    horizontal strip of its share.  Ordered lexicographically by the
-    concatenated component entry sequences.
+    The components, placed corner to corner, form one skew shape; each
+    letter fills a horizontal strip of it, and the finished tableau is
+    cut back into components by their row counts.  Ordered
+    lexicographically by the concatenated component entry sequences.
     """
     shapes = normalize_multi(shapes)
     w = composition(w)
     if sum(map(sum, shapes)) != sum(w):
         raise SizeMismatchError(f"|{shapes}| != |{w}|")
-    results = []
-    chain = []  # one tuple of component shapes per letter placed so far
-    # many branches reach the same inner shape; the cache lives for one call
-    strips = cache(lambda inner, shape, m: tuple(_strips_between(inner, shape, m)))
-
-    def extend(inners):
-        i = len(chain)
-        if i == len(w):
-            chains = [[nus[j] for nus in chain] for j in range(len(shapes))]
-            results.append(tuple(map(_chain_to_rows, shapes, chains)))
-            return
-        room = [sum(shape) - sum(nu) for shape, nu in zip(shapes, inners)]
-        for split in bounded_compositions(w[i], room):
-            for nus in product(*map(strips, inners, shapes, split)):
-                chain.append(nus)
-                extend(nus)
-                chain.pop()
-
-    extend(((),) * len(shapes))
+    # the last component starts at column 0, each earlier one right of
+    # every row below it, so no two components share a row or a column
+    inner, outer = (), ()
+    for shape in reversed(shapes):
+        shift = part(outer, 0)
+        inner = (shift,) * len(shape) + inner
+        outer = tuple(shift + p for p in shape) + outer
+    chains = [(inner,)]
+    for m in w:
+        # many chains reach the same shape; the cache lives for one letter
+        strips = {}
+        grown = []
+        for chain in chains:
+            nu = chain[-1]
+            if nu not in strips:
+                strips[nu] = tuple(_strips_between(nu, outer, m))
+            grown += [chain + (strip,) for strip in strips[nu]]
+        chains = grown
+    cuts = tuple(pairwise(accumulate(map(len, shapes), initial=0)))
+    results = [tuple(rows[a:b] for a, b in cuts) for rows in map(_chain_to_rows, chains)]
     results.sort(key=lambda mt: tuple(e for rows in mt for r in rows for e in r))
     return results

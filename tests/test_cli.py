@@ -132,6 +132,12 @@ def test_enumerate_count_only_and_multi(capsys):
     assert code == 0
     assert out["count"] == "2"
     assert all(len(mt["components"]) == 2 for mt in out["multitableaux"])
+    ones = ",".join(["1"] * 1200)
+    code, out, _ = run(
+        capsys, "enumerate", "--shape", "1200", "--weight", ones, "--count-only"
+    )
+    assert code == 0
+    assert out == {"count": "1"}
 
 
 def test_greedy(capsys):
@@ -169,6 +175,11 @@ def test_ggg_commands(capsys):
     same = '[{"size":2,"partition":[1]},{"size":2,"partition":[1]}]'
     code, out, _ = run(
         capsys, "ggg-mult-one", "--entries", same, "--mu", "4", "--exit-code"
+    )
+    assert code == 0
+    assert out == {"multiplicity_one": True}
+    code, out, _ = run(
+        capsys, "ggg-mult-one", "--entries", "[]", "--mu", "", "--exit-code"
     )
     assert code == 0
     assert out == {"multiplicity_one": True}

@@ -140,6 +140,14 @@ def test_theta_positive_stops_at_one_witness():
     assert elapsed < 2
 
 
+@pytest.mark.parametrize("mu", [(400, 400, 400), (1200,)])
+def test_theta_positive_many_entries(mu):
+    # an explicit stack, not one Python frame per entry
+    found, elapsed = _timed(theta_positive, ((1, (1,)),) * 1200, mu)
+    assert found is True
+    assert elapsed < 2
+
+
 def test_subset_sum_fast_path_vs_exhaustive():
     rng = random.Random(20260823)
     for _ in range(200):
@@ -159,6 +167,7 @@ def test_zelcor_examples():
     assert not zelcor_multiplicity_one(((2, (1,)), (2, (1,))), (2, 2))
     assert not zelcor_multiplicity_one(((2, (2,)),), (3, 1))  # 2 divides no part
     assert zelcor_multiplicity_one(((3, (2, 1)),), (6, 3))
+    assert zelcor_multiplicity_one((), ())  # no orbit sizes to differ; theta is 1
 
 
 def test_zelcor_requires_equal_orbit_sizes():

@@ -12,7 +12,7 @@ from kostka.tableaux import (
     shape_of,
     weight,
 )
-from oracles import naive_multitableaux, naive_tableaux
+from oracles import bounded_compositions, naive_multitableaux, naive_tableaux
 
 SAMPLE_TABLEAU = ((1, 1, 1, 2), (2, 2), (3, 3), (4,))
 
@@ -138,6 +138,8 @@ def test_enumerate_examples():
     only = enumerate_tableaux((6, 3, 3), (5, 4, 3))
     assert only == [greedy_tableau((6, 3, 3), (5, 4, 3))]
     assert enumerate_tableaux((1, 1), (2,)) == []
+    # a loop over the letters, not one Python frame per letter
+    assert enumerate_tableaux((1200,), (1,) * 1200) == [(tuple(range(1, 1201)),)]
 
 
 def test_enumerate_matches_naive_filling():
@@ -187,11 +189,16 @@ def test_enumerate_multi_single_component_reduction():
 
 def test_enumerate_multi_matches_naive_filling():
     # the box-filling oracle splits the weight among the components first,
-    # so a split that leaves a component without boxes is covered as well
+    # so a split that leaves a component without boxes is covered as well;
+    # composition weights, unsorted and with zeros anywhere, must not be
+    # sorted: the tableaux of (1, 2) differ from those of (2, 1)
     for n in range(0, 6):
+        weights = list(partitions_of(n))
+        if n <= 4:
+            weights += bounded_compositions(n, (n,) * 4)
         for r in (1, 2, 3):
             for shapes in multipartitions_of(n, r):
-                for mu in partitions_of(n):
+                for mu in weights:
                     found = enumerate_multitableaux(shapes, mu)
                     assert found == naive_multitableaux(shapes, mu), (shapes, mu)
 
