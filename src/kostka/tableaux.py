@@ -6,9 +6,8 @@ Enumeration is deliberately brute force: it is the independent oracle the
 fast counting predicates are checked against.  Placed corner to corner,
 the components form one skew shape; a loop over the letters fills it one
 horizontal strip at a time, a single tableau being the one-component case.
-The strips come from a recursion with one frame per row, faster than its
-loop form, so a shape of about 1 000 rows in all reaches Python's
-recursion limit; the number of letters is unbounded.
+A loop over the rows builds each strip, so neither the number of letters
+nor the number of rows meets Python's recursion limit.
 """
 
 from collections import Counter
@@ -149,19 +148,23 @@ def redistribute_columns(rows, target):
     )
 
 
-def _strips_between(inner, outer, m, i=0):
-    """Rows i on of each nu, inner <= nu <= outer, nu/inner a horizontal m-strip."""
-    if i == len(outer):
-        if m == 0:
-            yield ()
-        return
-    lo = part(inner, i)
-    hi = min(outer[i], lo + m)
-    if i:
-        hi = min(hi, part(inner, i - 1))  # at most one new box per column
-    for v in range(lo, hi + 1):
-        for rest in _strips_between(inner, outer, m - (v - lo), i + 1):
-            yield (v,) + rest
+def _strips_between(inner, outer, m):
+    """Every nu, inner <= nu <= outer (inner zero-padded), nu/inner a horizontal
+    m-strip.  Row i can grow by c, to outer[i] and inner[i - 1]; rows with c != 0
+    (c < 0 admits none) grow in turn, a prefix kept while the rows below fit the rest."""
+    los = list(inner[: len(outer)]) + [0] * (len(outer) - len(inner))
+    his = list(map(min, outer, [*outer[:1], *los]))
+    rows = [(i, hi - lo) for i, (lo, hi) in enumerate(zip(los, his)) if hi != lo]
+    room = sum(his) - sum(los)
+    out = [(tuple(los), m)]
+    for i, c in rows:
+        room -= c
+        out = [
+            (nu[:i] + (nu[i] + k,) + nu[i + 1 :], r - k)
+            for nu, r in out
+            for k in range(r - room if r > room else 0, (c if c <= r else r) + 1)
+        ]
+    return [nu for nu, r in out if not r]
 
 
 def _chain_to_rows(chain):

@@ -138,6 +138,11 @@ def test_enumerate_count_only_and_multi(capsys):
     )
     assert code == 0
     assert out == {"count": "1"}
+    code, out, _ = run(
+        capsys, "enumerate", "--shape", ones[:1999], "--weight", ones[:1999], "--count-only"
+    )
+    assert code == 0
+    assert out == {"count": "1"}
 
 
 def test_greedy(capsys):

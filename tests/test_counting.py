@@ -1,13 +1,16 @@
 import random
 import tracemalloc
+from itertools import product
 from math import comb, factorial, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kostka.counting import (
-    _inner_shapes,
+    _inner_multi,
+    _removals,
     _strip_count,
     _strips,
     is_multiplicity_one,
@@ -123,10 +126,11 @@ def test_kostka_products_count_matrices():
 def test_chain_memo_stays_small():
     # a weight is keyed by its runs, so a chain of n letters keeps O(n)
     # entries of constant size; keys that held the whole weight prefix
-    # would keep O(n^2) memory, about 2 MiB for this call.  Both memos start
-    # cold, so both count toward the limit
+    # would keep O(n^2) memory, about 2 MiB for this call.  Every memo starts
+    # cold, so every memo counts toward the limit
     _strip_count.cache_clear()
     _strips.cache_clear()
+    _removals.cache_clear()
     tracemalloc.start()
     try:
         kostka((398, 2), (1,) * 400)
@@ -137,22 +141,47 @@ def test_chain_memo_stays_small():
 
 
 def test_inner_shapes_match_the_oracle_strips():
-    # every nu with lambda/nu a horizontal m-strip, once each, against the
-    # enumeration oracle's own strip generator (which adds strips)
-    for n in range(0, 11):
-        for lam in partitions_of(n):
-            for m in range(0, (lam[0] if lam else 0) + 1):
-                got = _inner_shapes(lam, m)
-                want = {
-                    nu for nu in partitions_of(n - m) if lam in _strips_between(nu, lam, m)
-                }
-                assert len(got) == len(set(got)) and set(got) == want, (lam, m)
+    # every tuple of nu^j with shapes[j]/nu^j a horizontal k_j-strip and
+    # sum sizes[j] * k_j = m, once each, against the enumeration oracle's
+    # own strip generator (which adds strips), one component at a time:
+    # r = 1 to n = 10, and r = 2, 3 to n = 7 with orbit sizes 1, 2, 3 in
+    # every order, empty components included, for every letter size m >= 1
+    oracle = {}
+
+    def strips(lam, k):
+        if (lam, k) not in oracle:
+            oracle[lam, k] = [
+                nu for nu in partitions_of(sum(lam) - k) if lam in _strips_between(nu, lam, k)
+            ]
+        return oracle[lam, k]
+
+    cases = [((1,), (lam,)) for n in range(0, 11) for lam in partitions_of(n)]
+    cases += [
+        (sizes, shapes)
+        for r in (2, 3)
+        for n in range(0, 8)
+        for shapes in multipartitions_of(n, r)
+        for sizes in product((1, 2, 3), repeat=r)
+    ]
+    for sizes, shapes in cases:
+        firsts = [lam[0] if lam else 0 for lam in shapes]
+        wants = {}
+        for ks in product(*(range(f + 1) for f in firsts)):
+            m = sum(map(mul, sizes, ks))
+            wants.setdefault(m, set()).update(product(*map(strips, shapes, ks)))
+        for m in range(1, sum(map(mul, sizes, firsts)) + 2):
+            got = _inner_multi(sizes, shapes, m)
+            assert len(got) == len(set(got)) and set(got) == wants.get(m, set()), (
+                sizes,
+                shapes,
+                m,
+            )
 
 
 def test_counts_do_not_depend_on_memo_state():
     # every K(lambda, mu) with n <= 8, every r = 2 count with n <= 5, and a
     # mixed-orbit Theta table whose shapes, in the engine's order, are also
-    # those of r = 2 counts; warm caches, then both memos cleared each call
+    # those of r = 2 counts; warm caches, then every memo cleared each call
     calls = [
         (kostka, (lam, mu))
         for n in range(0, 9)
@@ -172,6 +201,7 @@ def test_counts_do_not_depend_on_memo_state():
     for f, args in calls:
         _strip_count.cache_clear()
         _strips.cache_clear()
+        _removals.cache_clear()
         cold.append(f(*args))
     assert cold == warm
 
@@ -184,6 +214,21 @@ def test_strip_memo_is_bounded():
             for mu in partitions_of(n):
                 kostka(lam, mu)
     info = _strips.cache_info()
+    assert info.maxsize is not None
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+
+
+def test_removal_memo_is_bounded():
+    # every strip step of one shape of n <= 14, orbit size 1 or 2, meets
+    # more distinct removal patterns than the memo keeps
+    _removals.cache_clear()
+    for n in range(0, 15):
+        for lam in partitions_of(n):
+            for s in (1, 2):
+                for m in range(1, s * lam[0] + 1 if lam else 1):
+                    _inner_multi((s,), (lam,), m)
+    info = _removals.cache_info()
     assert info.maxsize is not None
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize

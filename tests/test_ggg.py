@@ -148,6 +148,26 @@ def test_theta_positive_many_entries(mu):
     assert elapsed < 2
 
 
+def test_theta_kostka_many_entries():
+    # one strip step over the rows of every entry, not one Python frame
+    # per entry
+    assert theta_kostka(((1, (1,)),) * 1200, (1200,)) == 1
+    assert kostka_multi(((1,),) * 1200, (1200,)) == 1
+
+
+def test_theta_single_boxes_count_words():
+    # N single boxes of orbit size s on weight s * mu: each letter i goes to
+    # mu_i of the N boxes, N! / prod mu_i! ways.  Every mu to N = 9, the
+    # weights of at most two parts to N = 14
+    for n in range(0, 15):
+        for mu in partitions_of(n):
+            if n > 9 and len(mu) > 2:
+                continue
+            words = factorial(n) // prod(map(factorial, mu))
+            for s in (1, 2):
+                assert theta_kostka(((s, (1,)),) * n, tuple(s * p for p in mu)) == words
+
+
 def test_subset_sum_fast_path_vs_exhaustive():
     rng = random.Random(20260823)
     for _ in range(200):

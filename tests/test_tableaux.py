@@ -142,6 +142,13 @@ def test_enumerate_examples():
     assert enumerate_tableaux((1200,), (1,) * 1200) == [(tuple(range(1, 1201)),)]
 
 
+def test_enumerate_a_long_column():
+    # the strips of a shape are built in a loop over its rows, not one
+    # Python frame per row
+    column = (1,) * 1000
+    assert enumerate_tableaux(column, column) == [tuple((i,) for i in range(1, 1001))]
+
+
 def test_enumerate_matches_naive_filling():
     for n in range(0, 7):
         for lam in partitions_of(n):
