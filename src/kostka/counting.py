@@ -11,24 +11,36 @@ The recursion takes one Python frame per letter, so at the default
 recursion limit of 1000 a weight of more than about 495 letters raises
 RecursionError.
 
-The strip step of one letter, every tuple of shapes nu^j with each
-shapes[j]/nu^j a horizontal strip, is memoized across calls in a bounded
+The counts are symmetric in the components as well, and an empty one
+changes nothing, so the engine has one state: the sorted tuple of the
+nonempty entries, each one tuple (orbit size, *rows).  `_count` builds it
+from the callers' (orbit size, shape) pairs, and a strip step drops the
+entries it empties and sorts the rest, so states equal up to order share
+a memo entry.  Six copies of (2, 1) on 1^18 reach 210 states; keyed by
+the components in their given order they reached 15 625.
+
+The strip step of one letter, every state of inner shapes nu^j with each
+lambda^j/nu^j a horizontal strip, is memoized across calls in a bounded
 LRU of 512 entries.  A table of counts repeats it far more often than it
 changes: the benchmark's `table` workload (every single count to n = 13,
-r = 2 and 3 counts to n = 7 and 6, a few Theta tables) takes 25 485 strip
-steps of 3 262 kinds; 512 entries keep 22 032 of the 22 223 repeats, 256
-keep 20 929 and 1024 keep 22 192.  Large distinct calls, as in the `deep`
-workload, almost never repeat one, and every entry they add is memory the
-garbage collector scans: unbounded, the memo raised `deep`'s peak memory
-from 28 to 37 MiB, and 1024 entries made it about 15 % slower, 512 entries
-within its noise.
+r = 2 and 3 counts to n = 7 and 6, a few Theta tables) takes 24 635 strip
+steps of 2 813 kinds; 512 entries keep 21 654 of the 21 822 repeats, 256
+keep 20 567 and 1024 keep 21 806.  Large distinct calls, as in the `deep`
+workload, seldom repeat one (20 607 steps of 17 110 kinds), so there the
+bound is a trade.  Measured on the benchmark's in-process engine ops,
+seed 7, alternating fresh processes on a 2-core VM: unbounded, the memo
+made `deep` 21 % faster (8/8 pairs) but raised its peak memory from 29
+to 38 MiB; with no memo `deep` took 11 % less time (10/10) and `table`
+23 to 35 % more (0/10); 64 entries made `deep` 11 % faster (10/10) and
+`table` 28 % slower (0/6); 1024 entries left `deep` within its noise.
 
-A step subtracts one removal vector from the rows of all shapes at once.
-The vectors depend only on m and each row's orbit size and drop, cut at
-m // size, so `_removals` shares them across shapes, components and calls:
-`deep` asks 21 406 times for 565 kinds (256 entries keep all but 9
-repeats), `table` 3 453 times for 1 830 kinds (1024 entries keep 1 441 of
-1 623 repeats, 2048 keep all, in 0.7 MiB).
+A step subtracts one removal vector from the rows of all entries at once;
+an entry's orbit size sits in the same row vector as a row that gives up
+nothing.  The vectors depend only on m and each row's orbit size and
+drop, cut at m // size, so `_removals` shares them across shapes, entries
+and calls: `deep` asks 20 170 times for 594 kinds (256 entries keep all
+but 7 repeats), `table` 2 981 times for 1 852 kinds (1024 entries keep
+1 037 of 1 129 repeats, 2048 keep all, in 0.9 MiB).
 
 The multiplicity-one predicates never count: they run a single
 left-to-right scan that either produces a block certificate or reports
@@ -38,7 +50,7 @@ multipartition twin.
 """
 
 from functools import lru_cache
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 from .errors import SizeMismatchError
 from .partitions import (
@@ -51,39 +63,44 @@ from .partitions import (
 
 
 @lru_cache(maxsize=None)
-def _strip_count(sizes, shapes, runs):
-    """Fillings of the shapes, a letter in shapes[j] counting sizes[j]
-    times, of the partition weight whose runs are (part, count, part,
-    count, ...), e.g. (2, 1, 1, 3) for (2, 1, 1, 1).  The last letter, of
-    multiplicity runs[-2], fills one strip in every component; the rest of
-    the weight is the runs with the last count lowered by one."""
+def _strip_count(entries, runs):
+    """Fillings of the entries (orbit size, *rows), a letter in an entry
+    counting its orbit size times, of the partition weight whose runs are
+    (part, count, part, count, ...), e.g. (2, 1, 1, 3) for (2, 1, 1, 1).
+    The last letter, of multiplicity runs[-2], fills one strip in every
+    entry; the rest of the weight is the runs with the last count lowered
+    by one."""
     if not runs:
-        return 0 if any(shapes) else 1
+        return 0 if entries else 1
     m, c = runs[-2:]
     rest = runs[:-1] + (c - 1,) if c > 1 else runs[:-2]
     total = 0
-    for inner in _strips(sizes, shapes, m):
-        total += _strip_count(sizes, inner, rest)
+    for inner in _strips(entries, m):
+        total += _strip_count(inner, rest)
     return total
 
 
-def _inner_multi(sizes, shapes, m):
-    """Every tuple of nu^j, shapes[j]/nu^j a horizontal k_j-strip, sum of
-    sizes[j] * k_j = m >= 1: all rows minus a `_removals` vector, cut into
-    components.  Row i of shapes[j] gives up at most shape[i] - shape[i + 1]
-    and m // sizes[j] boxes, so only a component's last row can empty."""
+def _inner_multi(entries, m):
+    """Every inner state (s_j, *nu^j), each lambda^j/nu^j a horizontal
+    k_j-strip and the sum of s_j * k_j = m >= 1, once per choice of the
+    nu^j, so equal entries repeat states: all rows minus a `_removals`
+    vector, cut into entries, emptied ones dropped and the rest sorted.
+    Row i of an entry gives up at most lambda_i - lambda_{i+1} and m // s
+    boxes, so only an entry's last row can empty; its orbit size is a row
+    that can give up none."""
     weights, caps, cuts, flat = [], [], [], ()
-    for s, shape in zip(sizes, shapes):
-        t = m // s
-        weights += (s,) * len(shape)
-        caps += [c if c < t else t for c in map(sub, shape, shape[1:] + (0,))]
-        b = len(caps) or 1  # an empty first component: nu[1:1] and nu[1:0] are ()
-        cuts.append((b - len(shape), b))
-        flat += shape
+    for e in entries:
+        t = m // e[0]
+        weights += (e[0],) * len(e)
+        caps += [0] + [c if c < t else t for c in map(sub, e[1:], e[2:] + (0,))]
+        cuts.append((len(flat), len(flat) + len(e)))
+        flat += e
     out = []
     for d in _removals(m, tuple(weights), tuple(caps)):
         nu = tuple(map(sub, flat, d))
-        out.append(tuple([nu[a:b] if nu[b - 1] else nu[a:b - 1] for a, b in cuts]))
+        nus = [nu[a:b] if nu[b - 1] else nu[a : b - 1] for a, b in cuts if nu[b - 1] or b - a > 2]
+        nus.sort()
+        out.append(tuple(nus))
     return tuple(out)
 
 
@@ -115,10 +132,10 @@ def _removals(m, weights, caps):
 def _count(entries, w):
     """The one way into the engine: (orbit size, shape) entries, partition w.
 
-    The count is symmetric in the entries, so empty shapes are dropped and
-    the rest sorted: every order of the same entries shares cache states.
+    The count is symmetric in the entries, so the state is the sorted tuple
+    of the nonempty ones, each as (orbit size, *rows): every order of the
+    same entries, and every empty one added, share cache states.
     """
-    sizes, shapes = tuple(zip(*sorted(filter(itemgetter(1), entries)))) or ((), ())
     runs, last = [], None
     for m in w:
         if m == last:
@@ -126,7 +143,7 @@ def _count(entries, w):
         else:
             runs += (m, 1)
             last = m
-    return _strip_count(sizes, shapes, tuple(runs))
+    return _strip_count(tuple(sorted([(s, *lam) for s, lam in entries if lam])), tuple(runs))
 
 
 def _checked(shapes, w):

@@ -151,18 +151,31 @@ def partitions_of(n, max_part=None):
 
 
 def bounded_compositions(total, caps):
-    """All tuples v with 0 <= v[i] <= caps[i] and sum(v) == total."""
+    """All tuples v with 0 <= v[i] <= caps[i] and sum(v) == total, in
+    lexicographic order, one at a time.  A loop, not a recursion, so the
+    number of caps is not bounded by the recursion limit: each step raises
+    the last entry that can still grow and sets the ones after it as low
+    as the room left behind them allows."""
     caps = tuple(caps)
-    if total > sum(caps):
+    rooms = list(accumulate(caps[::-1], initial=0))[::-1]  # rooms[i] = sum(caps[i:])
+    if not 0 <= total <= rooms[0]:
         return
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    tail_room = sum(caps[1:])
-    for first in range(max(0, total - tail_room), min(caps[0], total) + 1):
-        for rest in bounded_compositions(total - first, caps[1:]):
-            yield (first,) + rest
+    v, left = [], total
+    while True:
+        while len(v) < len(caps):
+            k = max(0, left - rooms[len(v) + 1])
+            v.append(k)
+            left -= k
+        yield tuple(v)
+        while v:
+            k = v.pop()
+            left += k
+            if k < min(caps[len(v)], left):
+                v.append(k + 1)
+                left -= k + 1
+                break
+        else:
+            return
 
 
 def multipartitions_of(n, r):

@@ -11,7 +11,7 @@ supported on labels whose component j is empty unless d divides j - 1.
 from math import factorial
 from typing import NamedTuple
 
-from .counting import kostka_multi
+from .counting import _count
 from .errors import InvalidDivisorError
 from .partitions import (
     _dominates,
@@ -80,7 +80,7 @@ def decompose_permutation_character(r, d, mu):
     for label in _allowed_labels(r, d, n):
         if not _dominates(_tilde(label), mu):
             continue
-        m = kostka_multi(label, mu)
+        m = _count([(1, c) for c in label], mu)
         if m:
             out.append(Constituent(label, m))
     out.sort(key=lambda c: c.label)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 from math import comb, factorial, prod
 from operator import mul
@@ -141,11 +142,13 @@ def test_chain_memo_stays_small():
 
 
 def test_inner_shapes_match_the_oracle_strips():
-    # every tuple of nu^j with shapes[j]/nu^j a horizontal k_j-strip and
-    # sum sizes[j] * k_j = m, once each, against the enumeration oracle's
-    # own strip generator (which adds strips), one component at a time:
-    # r = 1 to n = 10, and r = 2, 3 to n = 7 with orbit sizes 1, 2, 3 in
-    # every order, empty components included, for every letter size m >= 1
+    # every state of the entries (orbit size, *nu^j), lambda^j/nu^j a
+    # horizontal k_j-strip and sum s_j * k_j = m, once per assignment,
+    # against the enumeration oracle's own strip generator (which adds
+    # strips), one entry at a time: r = 1 to n = 10, and r = 2, 3 to n = 7
+    # with orbit sizes 1, 2, 3 in every order, empty components included,
+    # for every letter size m >= 1.  Two assignments can give the same
+    # sorted state, so the states are compared as multisets
     oracle = {}
 
     def strips(lam, k):
@@ -155,6 +158,9 @@ def test_inner_shapes_match_the_oracle_strips():
             ]
         return oracle[lam, k]
 
+    def state(sizes, shapes):
+        return tuple(sorted([(s, *lam) for s, lam in zip(sizes, shapes) if lam]))
+
     cases = [((1,), (lam,)) for n in range(0, 11) for lam in partitions_of(n)]
     cases += [
         (sizes, shapes)
@@ -163,19 +169,21 @@ def test_inner_shapes_match_the_oracle_strips():
         for shapes in multipartitions_of(n, r)
         for sizes in product((1, 2, 3), repeat=r)
     ]
+    seen = set()
     for sizes, shapes in cases:
+        entries = state(sizes, shapes)
+        if entries in seen:
+            continue
+        seen.add(entries)
         firsts = [lam[0] if lam else 0 for lam in shapes]
         wants = {}
         for ks in product(*(range(f + 1) for f in firsts)):
             m = sum(map(mul, sizes, ks))
-            wants.setdefault(m, set()).update(product(*map(strips, shapes, ks)))
+            nus = product(*map(strips, shapes, ks))
+            wants.setdefault(m, Counter()).update(state(sizes, nu) for nu in nus)
         for m in range(1, sum(map(mul, sizes, firsts)) + 2):
-            got = _inner_multi(sizes, shapes, m)
-            assert len(got) == len(set(got)) and set(got) == wants.get(m, set()), (
-                sizes,
-                shapes,
-                m,
-            )
+            got = Counter(_inner_multi(entries, m))
+            assert got == wants.get(m, Counter()), (entries, m)
 
 
 def test_counts_do_not_depend_on_memo_state():
@@ -227,11 +235,28 @@ def test_removal_memo_is_bounded():
         for lam in partitions_of(n):
             for s in (1, 2):
                 for m in range(1, s * lam[0] + 1 if lam else 1):
-                    _inner_multi((s,), (lam,), m)
+                    _inner_multi(((s, *lam),), m)
     info = _removals.cache_info()
     assert info.maxsize is not None
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize
+
+
+def test_identical_components_count_standard_multitableaux():
+    # 8 to 10 copies of one shape on 1^n: a state is the sorted tuple of
+    # its entries, so every order of the same inner shapes is one state,
+    # and each step still counts every assignment
+    for lam, r in product(((2, 1), (3, 1)), (8, 9, 10)):
+        n = r * sum(lam)
+        assert kostka_multi((lam,) * r, (1,) * n) == multi_standard_count((lam,) * r), (lam, r)
+
+
+def test_identical_components_share_states():
+    # six copies of (2, 1) on 1^18 reach 15 625 states when the components
+    # keep their order, and a few hundred when a state is a sorted tuple
+    _strip_count.cache_clear()
+    kostka_multi(((2, 1),) * 6, (1,) * 18)
+    assert _strip_count.cache_info().currsize <= 1000
 
 
 def test_kostka_matches_enumeration():

@@ -148,6 +148,15 @@ def test_theta_positive_many_entries(mu):
     assert elapsed < 2
 
 
+@pytest.mark.parametrize(
+    "entries", [((1, (1,)),) * 1200, ((1, (1200,)),)], ids=["1200 boxes", "one row of 1200"]
+)
+def test_theta_positive_long_weights(entries):
+    # the weight splits are made by a loop, not one Python frame per part
+    # of the remaining weight
+    assert theta_positive(entries, (1,) * 1200) is True
+
+
 def test_theta_kostka_many_entries():
     # one strip step over the rows of every entry, not one Python frame
     # per entry

@@ -13,6 +13,7 @@ from kostka.errors import (
 )
 from kostka.partitions import (
     _dominates,
+    bounded_compositions,
     composition,
     conjugate,
     dominates,
@@ -24,6 +25,7 @@ from kostka.partitions import (
     sorted_weight,
     tilde,
 )
+from oracles import bounded_compositions as oracle_compositions
 from oracles import column_count_strip_check
 
 
@@ -184,3 +186,21 @@ def test_integers_converts_int_subclasses():
     Two = IntEnum("Two", {"TWO": 2}).TWO
     assert integers([2, Two]) == (2, 2)
     assert all(type(x) is int for x in integers((Two,)))
+
+
+def test_bounded_compositions_match_the_oracle():
+    # every total from -1 past the caps' sum, every caps tuple of length 0
+    # to 4 with caps 0 to 3, in the oracle's lexicographic order
+    for length in range(5):
+        for caps in product(range(4), repeat=length):
+            for total in range(-1, sum(caps) + 2):
+                assert list(bounded_compositions(total, caps)) == list(
+                    oracle_compositions(total, caps)
+                ), (total, caps)
+
+
+def test_bounded_compositions_are_lazy_and_unbounded_in_length():
+    # 5 000 caps, past the recursion limit; the first of C(5000, 2) tuples
+    # comes without the rest being built
+    first = next(bounded_compositions(2, (1,) * 5000))
+    assert first == (0,) * 4998 + (1, 1)
