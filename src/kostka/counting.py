@@ -36,11 +36,13 @@ to 38 MiB; with no memo `deep` took 11 % less time (10/10) and `table`
 
 A step subtracts one removal vector from the rows of all entries at once;
 an entry's orbit size sits in the same row vector as a row that gives up
-nothing.  The vectors depend only on m and each row's orbit size and
-drop, cut at m // size, so `_removals` shares them across shapes, entries
-and calls: `deep` asks 20 170 times for 594 kinds (256 entries keep all
-but 7 repeats), `table` 2 981 times for 1 852 kinds (1024 entries keep
-1 037 of 1 129 repeats, 2048 keep all, in 0.9 MiB).
+nothing.  The vectors are the `partitions.bounded_compositions` of m,
+each row weighted by its orbit size and capped by its drop, cut at
+m // size.  They depend on nothing else, so `_removals` shares them
+across shapes, entries and calls: `deep` asks 20 170 times for 594
+kinds (256 entries keep all but 7 repeats), `table` 2 981 times for
+1 852 kinds (1024 entries keep 1 037 of 1 129 repeats, 2048 keep all, in
+0.9 MiB).
 
 The multiplicity-one predicates never count: they run a single
 left-to-right scan that either produces a block certificate or reports
@@ -50,12 +52,13 @@ multipartition twin.
 """
 
 from functools import lru_cache
-from operator import mul, sub
+from operator import sub
 
 from .errors import SizeMismatchError
 from .partitions import (
     _dominates,
     _tilde,
+    bounded_compositions,
     integers,
     normalize_multi,
     sorted_weight,
@@ -109,24 +112,8 @@ _strips = lru_cache(maxsize=512)(_inner_multi)  # the strip step; bounds in the 
 
 @lru_cache(maxsize=2048)
 def _removals(m, weights, caps):
-    """Every d, 0 <= d[i] <= caps[i], with the sum of weights[i] * d[i] = m.
-    With r left and `room` the most the rows below can take, d[i] >=
-    ceil((r - room) / weights[i]): weight-one rows build no dead prefix."""
-    room = sum(map(mul, weights, caps))
-    out = [((), m)]
-    for w, c in zip(weights, caps):
-        if not c:
-            out = [(d + (0,), r) for d, r in out]
-            continue
-        room -= w * c
-        out = [
-            (d + (k,), r - w * k)
-            for d, r in out
-            for k in range(
-                -((room - r) // w) if r > room else 0, (c if c * w <= r else r // w) + 1
-            )
-        ]
-    return tuple([d for d, r in out if not r])
+    """Every d, 0 <= d[i] <= caps[i], with the sum of weights[i] * d[i] = m."""
+    return tuple(bounded_compositions(m, caps, weights))
 
 
 def _count(entries, w):

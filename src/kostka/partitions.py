@@ -14,8 +14,8 @@ at the caller, equal sizes (SizeMismatchError).  A canonical tuple of plain
 ints comes back from `integers`, `composition` and `normalize` as itself.
 """
 
-from itertools import accumulate, zip_longest
-from operator import ge, index, lt
+from itertools import accumulate, product, zip_longest
+from operator import ge, index, lt, mul
 
 from .errors import (
     NegativeEntryError,
@@ -150,41 +150,56 @@ def partitions_of(n, max_part=None):
             yield (first,) + rest
 
 
-def bounded_compositions(total, caps):
-    """All tuples v with 0 <= v[i] <= caps[i] and sum(v) == total, in
-    lexicographic order, one at a time.  A loop, not a recursion, so the
-    number of caps is not bounded by the recursion limit: each step raises
-    the last entry that can still grow and sets the ones after it as low
-    as the room left behind them allows."""
+def bounded_compositions(total, caps, weights=None):
+    """All tuples v with 0 <= v[i] <= caps[i] and the sum of weights[i] *
+    v[i] equal to total (every weight 1 by default), in lexicographic order,
+    one at a time.  A loop, not a recursion, so the number of caps is not
+    bounded by the recursion limit.
+
+    Each step raises the last entry that can still grow and sets the ones
+    after it as low as the room behind them allows: with `left` still to
+    place and `room` the most the positions after i can take, v[i] starts
+    at ceil((left - room) / weights[i]).  A weight-one position builds no
+    dead prefix; one of weight w > 1 may overshoot what is left, and that
+    prefix is dropped, so only vectors that use up the total are yielded.
+    """
     caps = tuple(caps)
-    rooms = list(accumulate(caps[::-1], initial=0))[::-1]  # rooms[i] = sum(caps[i:])
+    weights = tuple(weights or (1,) * len(caps))
+    # rooms[i] = the sum of weights[j] * caps[j] over j >= i
+    rooms = list(accumulate(map(mul, caps[::-1], weights[::-1]), initial=0))[::-1]
     if not 0 <= total <= rooms[0]:
         return
-    v, left = [], total
+    v, i, left = [0] * len(caps), 0, total  # v[:i] is the prefix placed so far
     while True:
-        while len(v) < len(caps):
-            k = max(0, left - rooms[len(v) + 1])
-            v.append(k)
-            left -= k
-        yield tuple(v)
-        while v:
-            k = v.pop()
-            left += k
-            if k < min(caps[len(v)], left):
-                v.append(k + 1)
-                left -= k + 1
+        while i < len(caps):
+            w, room = weights[i], rooms[i + 1]
+            k = -((room - left) // w) if left > room else 0
+            if k * w > left:  # a dead end: nothing after v[:i] can make up the rest
+                break
+            v[i] = k
+            left -= k * w
+            i += 1
+        if not left:
+            yield tuple(v)
+        while i:
+            i -= 1
+            k, w = v[i], weights[i]
+            left += k * w
+            if k < caps[i] and (k + 1) * w <= left:
+                v[i] = k + 1
+                left -= (k + 1) * w
+                i += 1
                 break
         else:
             return
 
 
 def multipartitions_of(n, r):
-    """All r-component multipartitions of n, components in a fixed order."""
-    if r == 0:
-        if n == 0:
-            yield ()
-        return
-    for head_size in range(n, -1, -1):
-        for head in partitions_of(head_size):
-            for rest in multipartitions_of(n - head_size, r - 1):
-                yield (head,) + rest
+    """All r-component multipartitions of n: the component sizes in the
+    lexicographic order of `bounded_compositions`, the first component
+    smallest first, and for each size vector the components in the
+    decreasing lexicographic order of `partitions_of`.  A loop over the
+    size vectors, not a recursion over r."""
+    parts = [tuple(partitions_of(k)) for k in range(n + 1)]
+    for sizes in bounded_compositions(n, (n,) * r):
+        yield from product(*map(parts.__getitem__, sizes))

@@ -7,7 +7,10 @@ fast counting predicates are checked against.  Placed corner to corner,
 the components form one skew shape; a loop over the letters fills it one
 horizontal strip at a time, a single tableau being the one-component case.
 A loop over the rows builds each strip, so neither the number of letters
-nor the number of rows meets Python's recursion limit.
+nor the number of rows meets Python's recursion limit.  That loop is kept
+apart from `partitions.bounded_compositions`, which makes the counting
+engine's strips, on purpose: the oracle shares no strip code with what it
+checks.
 """
 
 from collections import Counter

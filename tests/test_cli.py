@@ -167,6 +167,15 @@ def test_wreath_decompose(capsys):
     ]
 
 
+def test_wreath_decompose_many_components(capsys):
+    code, out, err = run(
+        capsys, "wreath-decompose", "--r", "1000", "--d", "1", "--mu", "1"
+    )
+    assert code == 0
+    assert err is None
+    assert len(out["constituents"]) == 1000
+
+
 def test_ggg_commands(capsys):
     entries = '[{"size":2,"partition":[1]},{"size":3,"partition":[1]}]'
     code, out, _ = run(capsys, "ggg-count", "--entries", entries, "--mu", "3,2")

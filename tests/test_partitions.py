@@ -1,5 +1,7 @@
+import random
 from enum import IntEnum
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from kostka.partitions import (
     dominates,
     integers,
     is_horizontal_strip,
+    multipartitions_of,
     normalize,
     partitions_of,
     sort_to_partition,
@@ -197,6 +200,36 @@ def test_bounded_compositions_match_the_oracle():
                 assert list(bounded_compositions(total, caps)) == list(
                     oracle_compositions(total, caps)
                 ), (total, caps)
+    # weighted: every weight vector in {1, 2, 3}^k with every caps tuple
+    # for k <= 3, and seeded weight vectors for each caps tuple at k = 4
+    # and 5, every total from 0 to the weighted sum plus 1, against a
+    # filter over every vector below the caps, in the same order
+    rng = random.Random(0)
+    cases = [
+        (caps, weights)
+        for length in range(4)
+        for caps in product(range(4), repeat=length)
+        for weights in product((1, 2, 3), repeat=length)
+    ]
+    cases += [
+        (caps, tuple(rng.choices((1, 2, 3), k=length)))
+        for length in (4, 4, 5)
+        for caps in product(range(4), repeat=length)
+    ]
+    for caps, weights in cases:
+        by_total = {}
+        for v in product(*(range(c + 1) for c in caps)):
+            by_total.setdefault(sum(map(mul, v, weights)), []).append(v)
+        for total in range(sum(map(mul, caps, weights)) + 2):
+            got = list(bounded_compositions(total, caps, weights))
+            assert got == by_total.get(total, []), (total, caps, weights)
+    # dead ends: only even totals are reachable with weights 2, and a
+    # weight-3 position cannot take a remainder of 1 or 2
+    for total in (1, 3, 5, 7):
+        assert list(bounded_compositions(total, (3, 3), (2, 2))) == []
+    assert list(bounded_compositions(4, (3, 3), (2, 2))) == [(0, 2), (1, 1), (2, 0)]
+    assert list(bounded_compositions(5, (1, 2), (1, 3))) == []
+    assert list(bounded_compositions(7, (1, 2, 1), (3, 2, 1))) == [(1, 2, 0)]
 
 
 def test_bounded_compositions_are_lazy_and_unbounded_in_length():
@@ -204,3 +237,31 @@ def test_bounded_compositions_are_lazy_and_unbounded_in_length():
     # comes without the rest being built
     first = next(bounded_compositions(2, (1,) * 5000))
     assert first == (0,) * 4998 + (1, 1)
+
+
+def test_multipartitions_of_match_a_product_filter():
+    # n <= 6, r <= 4: no label twice, the labels of a filter over products
+    # of brute-force partitions (weakly decreasing positive tuples), and as
+    # many as the coefficient of q^n in prod_k (1 - q^k)^(-r); then r far
+    # past the recursion limit
+    parts = {}
+    for length in range(7):
+        for p in product(range(6, 0, -1), repeat=length):
+            if sum(p) <= 6 and list(p) == sorted(p, reverse=True):
+                parts.setdefault(sum(p), []).append(p)
+    for r in range(5):
+        series = [1] + [0] * 6
+        for _ in range(r):
+            for k in range(1, 7):
+                for i in range(k, 7):
+                    series[i] += series[i - k]
+        for n in range(7):
+            got = list(multipartitions_of(n, r))
+            assert len(got) == len(set(got)) == series[n], (n, r)
+            sizes = [s for s in product(range(n + 1), repeat=r) if sum(s) == n]
+            want = {label for s in sizes for label in product(*(parts[k] for k in s))}
+            assert set(got) == want, (n, r)
+    # one box over 1 200 components, past the recursion limit
+    labels = list(multipartitions_of(1, 1200))
+    assert len(labels) == len(set(labels)) == 1200
+    assert all(sum(map(sum, label)) == 1 and len(label) == 1200 for label in labels)

@@ -137,3 +137,13 @@ def test_decompose_support_dominates_weight():
     for label, _ in decompose_permutation_character(2, 1, mu):
         t = tilde(label)
         assert all(sum(t[: k + 1]) >= sum(mu[: k + 1]) for k in range(len(mu)))
+
+
+def test_decompose_with_many_components():
+    # r = 1 000 components of one box: every label is one box in one
+    # component, each with multiplicity 1 (a RecursionError when the labels
+    # came from a recursion over the components)
+    out = decompose_permutation_character(1000, 1, (1,))
+    assert len(out) == 1000
+    assert all(c.multiplicity == 1 for c in out)
+    assert len({c.label for c in out}) == 1000
