@@ -8,7 +8,7 @@ that does not share their code.
 """
 
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 from operator import index
 
@@ -148,6 +148,33 @@ def theta_count_by_tableaux(entries, mu):
         return total
 
     return rec(0, tuple(mu))
+
+
+def kostka_by_alternant(shape, w):
+    """K(shape, w) as the coefficient of x^(shape + delta) in
+    a_delta * prod_j h_{w_j}(x_1, ..., x_l), l = len(shape) and delta =
+    (l - 1, ..., 1, 0): the product is the sum of K(lambda, w) s_lambda,
+    and a_delta s_lambda = a_(lambda + delta) holds x^(shape + delta) only
+    for lambda = shape.  The product is a dict of exponent tuples, one h at
+    a time; every coefficient is non-negative, so exponents above
+    shape + delta are dropped as they appear."""
+    l = len(shape)
+    top = tuple(part + l - 1 - i for i, part in enumerate(shape))
+    poly = {(0,) * l: 1}
+    for letter in w:
+        grown = {}
+        for e, coeff in poly.items():
+            room = tuple(t - x for t, x in zip(top, e))
+            for v in bounded_compositions(letter, room):
+                key = tuple(x + y for x, y in zip(e, v))
+                grown[key] = grown.get(key, 0) + coeff
+        poly = grown
+    total = 0
+    for perm in permutations(range(l)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(l), 2))
+        key = tuple(t - (l - 1 - p) for t, p in zip(top, perm))
+        total += (-1) ** inversions * poly.get(key, 0)
+    return total
 
 
 def subset_sum_exhaustive(values, target):

@@ -34,7 +34,7 @@ from kostka.partitions import (
     tilde,
 )
 from kostka.tableaux import _strips_between, enumerate_tableaux
-from oracles import matrix_count, multi_standard_count, standard_count
+from oracles import kostka_by_alternant, matrix_count, multi_standard_count, standard_count
 
 
 def test_kostka_known_values():
@@ -145,8 +145,8 @@ def test_inner_shapes_match_the_oracle_strips():
     # every state of the entries (orbit size, *nu^j), lambda^j/nu^j a
     # horizontal k_j-strip and sum s_j * k_j = m, once per assignment,
     # against the enumeration oracle's own strip generator (which adds
-    # strips), one entry at a time: r = 1 to n = 10, and r = 2, 3 to n = 7
-    # with orbit sizes 1, 2, 3 in every order, empty components included,
+    # strips), one entry at a time: r = 1 to n = 10 and r = 2, 3 to n = 7,
+    # with orbit sizes 1, 2, 3 (in every order), empty components included,
     # for every letter size m >= 1.  Two assignments can give the same
     # sorted state, so the states are compared as multisets
     oracle = {}
@@ -161,7 +161,7 @@ def test_inner_shapes_match_the_oracle_strips():
     def state(sizes, shapes):
         return tuple(sorted([(s, *lam) for s, lam in zip(sizes, shapes) if lam]))
 
-    cases = [((1,), (lam,)) for n in range(0, 11) for lam in partitions_of(n)]
+    cases = [((s,), (lam,)) for s in (1, 2, 3) for n in range(0, 11) for lam in partitions_of(n)]
     cases += [
         (sizes, shapes)
         for r in (2, 3)
@@ -184,6 +184,28 @@ def test_inner_shapes_match_the_oracle_strips():
         for m in range(1, sum(map(mul, sizes, firsts)) + 2):
             got = Counter(_inner_multi(entries, m))
             assert got == wants.get(m, Counter()), (entries, m)
+
+
+def test_long_weights_match_the_alternant():
+    # few rows and many letters, the class of the large single counts, from
+    # cleared memos against the alternant oracle, which shares no code with
+    # the engine: l = 2, 3 with n = 30-45 and 15-30 letters, l = 4 with
+    # n = 18-24 and 10-16 letters; the weights are compositions
+    rng = random.Random(21)
+
+    def composition(n, parts):
+        cuts = sorted(rng.sample(range(1, n), parts - 1))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+    cases = [(rng.randint(2, 3), rng.randint(30, 45), rng.randint(15, 30)) for _ in range(12)]
+    cases += [(4, rng.randint(18, 24), rng.randint(10, 16)) for _ in range(4)]
+    for rows, n, letters in cases:
+        lam = tuple(sorted(composition(n, rows), reverse=True))
+        w = composition(n, letters)
+        _strip_count.cache_clear()
+        _strips.cache_clear()
+        _removals.cache_clear()
+        assert kostka(lam, w) == kostka_by_alternant(lam, w), (lam, w)
 
 
 def test_counts_do_not_depend_on_memo_state():
@@ -448,6 +470,8 @@ def test_verify_rejects_bad_certificates():
     assert not verify_certificate_multi(((1,), (1,)), (1, 1), (2,))
     assert not verify_certificate((2,), (2,), (0,))  # out of range
     assert not verify_certificate((2,), (2,), (-1,))
+    assert verify_certificate((2,), (2,), ()) is False  # no cut, nonempty weight
+    assert verify_certificate_multi(((2,), (1,)), (2, 1), ()) is False
     for bad in (("a",), (1.0,), (True,)):
         with pytest.raises(NonIntegerEntryError):
             verify_certificate((2,), (2,), bad)
