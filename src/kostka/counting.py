@@ -13,11 +13,25 @@ RecursionError.
 
 The counts are symmetric in the components as well, and an empty one
 changes nothing, so the engine has one state: the sorted tuple of the
-nonempty entries, each one tuple (orbit size, *rows).  `_count` builds it
-from the callers' (orbit size, shape) pairs, and a strip step drops the
-entries it empties and sorts the rest, so states equal up to order share
-a memo entry.  Six copies of (2, 1) on 1^18 reach 210 states; keyed by
-the components in their given order they reached 15 625.
+nonempty entries, each (orbit size, *rows) packed into one int of
+fixed-width fields, the orbit size in field 0 and row i in field i, at bit
+i * width.  An entry is empty iff it is below 1 << width.  `_count` builds
+the state from the callers' (orbit size, shape) pairs, and a strip step
+drops the entries it empties and sorts the rest, so states equal up to
+order share a memo entry.  Six copies of (2, 1) on 1^18 reach 210 states;
+keyed by the components in their given order they reached 15 625.
+Fields are 64 bits wide when every orbit size and part is below 2^64, so
+all such calls share memo entries; any other input takes the least
+multiple of 64 bits that holds its largest value, and the width is part
+of every memo key, so states of different widths never share one.
+
+`_pack` memoizes each pair's int in an LRU of 512 entries.  `table` asks
+35 569 times for 379 kinds of (size, shape, width), `deep` 2 745 times for
+90, and 512 entries keep every repeat of both (128 keep 35 136 of
+`table`'s 35 190); a `cli` process asks at most 216 times.  Packing every
+pair on every call instead made `table` wall_s 7.7 % higher (0.573
+against 0.529 s, 10/10 alternating pairs, seed 7, 2-core VM) and
+op_p50_ms 2.8 % higher (8/10).
 
 The strip step of one letter, every state of inner shapes nu^j with each
 lambda^j/nu^j a horizontal strip, is memoized across calls in a bounded
@@ -33,28 +47,36 @@ made `deep` 21 % faster (8/8 pairs) but raised its peak memory from 29
 to 38 MiB; with no memo `deep` took 11 % less time (10/10) and `table`
 23 to 35 % more (0/10); 64 entries made `deep` 11 % faster (10/10) and
 `table` 28 % slower (0/6); 1024 entries left `deep` within its noise.
-With the one-entry step below and no memo, `deep` wall_s read 13.5 % lower
-(6/6 pairs) and `table` wall_s 11 % higher (0/6).
+On packed entries (6 alternating pairs, `bench/run.py --seconds 40`),
+no memo made `deep` wall_s 12.6 % lower (5/6) and `table` wall_s 9.4 %
+higher (0/6).
 
-A step subtracts one removal vector from the rows of all entries at once;
-an entry's orbit size sits in the same row vector as a row that gives up
-nothing.  The vectors are the `partitions.bounded_compositions` of m,
-each row weighted by its orbit size and capped by its drop, cut at
-m // size.  They depend on nothing else, so `_removals` shares them
-across shapes, entries and calls: `deep` asks 20 170 times for 594
-kinds (256 entries keep all but 7 repeats), `table` 2 981 times for
-1 852 kinds (1024 entries keep 1 037 of 1 129 repeats, 2048 keep all, in
-0.9 MiB).
+A step lays the entries end to end in one int and subtracts one packed
+removal vector from it: each row gives up at most its drop, so no field
+borrows, and an entry's orbit size is a field that gives up nothing.  The
+drops lambda_i - lambda_{i+1} are the fields of one subtraction, the
+entry shifted down one field minus the entry shifted down two.  The
+vectors are the `partitions.bounded_compositions` of m, each row weighted
+by its orbit size and capped by its drop, cut at m // size, packed as the
+entries are.  They depend on nothing else, so `_removals` shares them
+across shapes, entries and calls: `deep` asks 20 168 times for 560
+kinds, `table` 2 981 times for 1 831 kinds, and 2048 entries keep every
+repeat of both.  Packing a vector costs about 1 us, paid once per kind.
 
-A state of one entry, as every state of a single count is, takes a
-shorter step with nothing to cut or sort: its caps come straight from its
-rows, and each child is one tuple nu, the entry minus a vector, emitted
-as (nu,), as (nu[:-1],) when its last row empties, or as () when the
-entry does.  The `deep` workload's four single counts with n = 60 to 80
-and 36 to 39 letters take 15 529 steps into 75 381 children and repeat
-none, so the per-child cost is their time: the short step took them from
-156 to 117 ms (best of 10 fresh processes each, 2-core VM), and `deep`
-wall_s from 0.214 to 0.171 s (medians of 10 alternating runs, seed 7).
+A state of one entry, as every state of a single count is, needs no cut
+and no sort: each child is one subtraction e - d, emitted as (e - d,) or
+as () when the entry empties.  The `deep` workload's four single counts
+with n = 60 to 80 and 36 to 39 letters take 15 529 steps into 75 381
+children and repeat none, so the per-child cost is their time.  With
+tuple entries each child was a tuple(map(sub, e, d)) and a wrapper tuple,
+hashed element by element at every memo lookup; packed entries took the
+four counts from 102.5 to 73.9 ms (best of 10 alternating fresh processes
+each, 2-core VM) and `deep` wall_s from 0.134 to 0.107 s (medians of 10
+alternating runs, seed 7).  The drops are read by a plain loop: a
+comprehension over the fields took twice as long on Python 3.11.  The
+garbage collector tracks tuples but not ints, so one repetition of
+`table` runs 125 generation-0, 11 generation-1 and no full collections,
+against 161, 14 and 1 with tuple entries.
 
 The multiplicity-one predicates never count: they run a single
 left-to-right scan that either produces a block certificate or reports
@@ -64,7 +86,7 @@ multipartition twin.
 """
 
 from functools import lru_cache
-from operator import sub
+from operator import lshift
 
 from .errors import SizeMismatchError
 from .partitions import (
@@ -78,51 +100,59 @@ from .partitions import (
 
 
 @lru_cache(maxsize=None)
-def _strip_count(entries, runs):
-    """Fillings of the entries (orbit size, *rows), a letter in an entry
-    counting its orbit size times, of the partition weight whose runs are
-    (part, count, part, count, ...), e.g. (2, 1, 1, 3) for (2, 1, 1, 1).
-    The last letter, of multiplicity runs[-2], fills one strip in every
-    entry; the rest of the weight is the runs with the last count lowered
-    by one."""
+def _strip_count(entries, runs, width):
+    """Fillings of the packed entries (orbit size, *rows), fields of width
+    bits, a letter in an entry counting its orbit size times, of the
+    partition weight whose runs are (part, count, part, count, ...), e.g.
+    (2, 1, 1, 3) for (2, 1, 1, 1).  The last letter, of multiplicity
+    runs[-2], fills one strip in every entry; the rest of the weight is the
+    runs with the last count lowered by one."""
     if not runs:
         return 0 if entries else 1
     m, c = runs[-2:]
     rest = runs[:-1] + (c - 1,) if c > 1 else runs[:-2]
     total = 0
-    for inner in _strips(entries, m):
-        total += _strip_count(inner, rest)
+    for inner in _strips(entries, m, width):
+        total += _strip_count(inner, rest, width)
     return total
 
 
-def _inner_multi(entries, m):
+def _inner_multi(entries, m, width):
     """Every inner state (s_j, *nu^j), each lambda^j/nu^j a horizontal
     k_j-strip and the sum of s_j * k_j = m >= 1, once per choice of the
-    nu^j, so equal entries repeat states: all rows minus a `_removals`
-    vector, cut into entries, emptied ones dropped and the rest sorted.
-    Row i of an entry gives up at most lambda_i - lambda_{i+1} and m // s
-    boxes, so only an entry's last row can empty; its orbit size is a row
-    that can give up none.  A one-entry state needs no cut and no sort."""
-    if len(entries) == 1:
-        (e,) = entries
-        t = m // e[0]
-        caps = (0, *[c if c < t else t for c in map(sub, e[1:], e[2:] + (0,))])
-        out = []
-        for d in _removals(m, (e[0],) * len(e), caps):
-            nu = tuple(map(sub, e, d))
-            out.append((nu,) if nu[-1] else (nu[:-1],) if len(nu) > 2 else ())
-        return tuple(out)
-    weights, caps, cuts, flat = [], [], [], ()
+    nu^j, so equal entries repeat states: the entries laid end to end in
+    one int, minus a `_removals` vector, cut back into entries, the emptied
+    ones (below 1 << width) dropped and the rest sorted.  Row i of an entry
+    gives up at most its drop lambda_i - lambda_{i+1} and m // s boxes, so
+    no field borrows and only an entry's last row can empty; its orbit size
+    is a field that gives up none.  The drops are the fields of the entry
+    shifted by one field minus the entry shifted by two.  A one-entry state
+    needs no cut and no sort: each child is one subtraction."""
+    low, mask = 1 << width, (1 << width) - 1
+    weights, caps, cuts, flat = [], [], [], 0
     for e in entries:
-        t = m // e[0]
-        weights += (e[0],) * len(e)
-        caps += [0] + [c if c < t else t for c in map(sub, e[1:], e[2:] + (0,))]
-        cuts.append((len(flat), len(flat) + len(e)))
-        flat += e
-    out = []
-    for d in _removals(m, tuple(weights), tuple(caps)):
-        nu = tuple(map(sub, flat, d))
-        nus = [nu[a:b] if nu[b - 1] else nu[a : b - 1] for a, b in cuts if nu[b - 1] or b - a > 2]
+        s, first, drops = e & mask, len(caps), (e >> width) - (e >> 2 * width)
+        t = m // s
+        caps.append(0)
+        while drops:
+            c = drops & mask
+            caps.append(c if c < t else t)
+            drops >>= width
+        weights += (s,) * (len(caps) - first)
+        cuts.append((first * width, (1 << (len(caps) - first) * width) - 1))
+        flat |= e << first * width
+    out, vectors = [], _removals(m, tuple(weights), tuple(caps), width)
+    if len(entries) == 1:
+        for d in vectors:
+            nu = flat - d
+            out.append((nu,) if nu >= low else ())
+        return tuple(out)
+    for d in vectors:
+        nu, nus = flat - d, []
+        for a, b in cuts:
+            x = nu >> a & b
+            if x >= low:
+                nus.append(x)
         nus.sort()
         out.append(tuple(nus))
     return tuple(out)
@@ -132,17 +162,32 @@ _strips = lru_cache(maxsize=512)(_inner_multi)  # the strip step; bounds in the 
 
 
 @lru_cache(maxsize=2048)
-def _removals(m, weights, caps):
-    """Every d, 0 <= d[i] <= caps[i], with the sum of weights[i] * d[i] = m."""
-    return tuple(bounded_compositions(m, caps, weights))
+def _removals(m, weights, caps, width):
+    """Every d, 0 <= d[i] <= caps[i], with the sum of weights[i] * d[i] = m,
+    each packed into one int."""
+    return tuple([_packed(d, width) for d in bounded_compositions(m, caps, weights)])
+
+
+@lru_cache(maxsize=512)
+def _pack(size, shape, width):
+    """The entry (size, *shape) packed into one int, or 0 when its orbit
+    size or first part needs more than width bits."""
+    return 0 if (size | shape[0]) >> width else _packed((size, *shape), width)
+
+
+def _packed(fields, width):
+    """The fields as one int, field i at bit i * width."""
+    return sum(map(lshift, fields, range(0, len(fields) * width, width)))
 
 
 def _count(entries, w):
     """The one way into the engine: (orbit size, shape) entries, partition w.
 
     The count is symmetric in the entries, so the state is the sorted tuple
-    of the nonempty ones, each as (orbit size, *rows): every order of the
-    same entries, and every empty one added, share cache states.
+    of the nonempty ones, each packed into one int: every order of the same
+    entries, and every empty one added, share cache states.  Fields are 64
+    bits wide when every orbit size and part fits, else the least multiple
+    of 64 that holds the largest; the width is part of every memo key.
     """
     runs, last = [], None
     for m in w:
@@ -151,7 +196,10 @@ def _count(entries, w):
         else:
             runs += (m, 1)
             last = m
-    return _strip_count(tuple(sorted([(s, *lam) for s, lam in entries if lam])), tuple(runs))
+    width = 64
+    while 0 in (packed := [_pack(s, lam, width) for s, lam in entries if lam]):
+        width += 64
+    return _strip_count(tuple(sorted(packed)), tuple(runs), width)
 
 
 def _checked(shapes, w):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kostka.counting import (
     _inner_multi,
+    _pack,
     _removals,
     _strip_count,
     _strips,
@@ -141,6 +142,28 @@ def test_chain_memo_stays_small():
     assert retained < 2**20
 
 
+# The engine packs an entry (orbit size, *rows) into one int, field i at
+# bit i * WIDTH; these two read and write that layout independently of it.
+WIDTH = 64
+
+
+def encode(entries):
+    """The engine state of tuple entries (orbit size, *rows)."""
+    return tuple(sorted(sum(x << i * WIDTH for i, x in enumerate(e)) for e in entries))
+
+
+def decode(state):
+    """The sorted tuple of (orbit size, *rows) entries of an engine state."""
+    entries = []
+    for x in state:
+        fields = []
+        while x:
+            fields.append(x % (1 << WIDTH))
+            x >>= WIDTH
+        entries.append(tuple(fields))
+    return tuple(sorted(entries))
+
+
 def test_inner_shapes_match_the_oracle_strips():
     # every state of the entries (orbit size, *nu^j), lambda^j/nu^j a
     # horizontal k_j-strip and sum s_j * k_j = m, once per assignment,
@@ -148,7 +171,9 @@ def test_inner_shapes_match_the_oracle_strips():
     # strips), one entry at a time: r = 1 to n = 10 and r = 2, 3 to n = 7,
     # with orbit sizes 1, 2, 3 (in every order), empty components included,
     # for every letter size m >= 1.  Two assignments can give the same
-    # sorted state, so the states are compared as multisets
+    # sorted state, so the states are compared as multisets; the engine's
+    # packed states are decoded first, and an emptied entry that the engine
+    # failed to drop decodes as (orbit size,), which no oracle state holds
     oracle = {}
 
     def strips(lam, k):
@@ -182,7 +207,7 @@ def test_inner_shapes_match_the_oracle_strips():
             nus = product(*map(strips, shapes, ks))
             wants.setdefault(m, Counter()).update(state(sizes, nu) for nu in nus)
         for m in range(1, sum(map(mul, sizes, firsts)) + 2):
-            got = Counter(_inner_multi(entries, m))
+            got = Counter(map(decode, _inner_multi(encode(entries), m, WIDTH)))
             assert got == wants.get(m, Counter()), (entries, m)
 
 
@@ -257,11 +282,58 @@ def test_removal_memo_is_bounded():
         for lam in partitions_of(n):
             for s in (1, 2):
                 for m in range(1, s * lam[0] + 1 if lam else 1):
-                    _inner_multi(((s, *lam),), m)
+                    _inner_multi(encode([(s, *lam)]), m, WIDTH)
     info = _removals.cache_info()
     assert info.maxsize is not None
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize
+
+
+def test_pack_memo_is_bounded():
+    # every shape of n <= 15 with orbit sizes 1 and 2 is more (size, shape)
+    # pairs than the packing memo keeps
+    _pack.cache_clear()
+    for n in range(1, 16):
+        for lam in partitions_of(n):
+            kostka_multi((lam, ()), (1,) * n)
+            theta_kostka([(2, lam)], (2,) * n)
+    info = _pack.cache_info()
+    assert info.maxsize is not None
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+
+
+def test_wide_values_through_every_count():
+    # an orbit size or part of 2^64 or more takes wider fields than the
+    # 64 bits of every other input, and 2^64 - 1 still fits in 64
+    big = 2**64
+    assert kostka((2**70, 1), (2**70, 1)) == 1
+    assert kostka((2**70, 1), (2**70 - 1, 1, 1)) == 2
+    assert kostka((big - 1, 1), (big - 1, 1)) == 1
+    assert kostka_multi(((2**70,), (1,)), (2**70, 1)) == 2
+    assert theta_kostka([(big, (1,)), (1, (1,))], (big, 1)) == 1
+    assert theta_kostka([(big - 1, (1,)), (1, (1,))], (big - 1, 1)) == 1
+
+
+def test_wide_calls_leave_narrow_answers_alone():
+    # the field width is part of every memo key: narrow calls around a wide
+    # one give the answers they give from cleared memos
+    narrow = [
+        (kostka, ((3, 2, 1), (2, 2, 1, 1))),
+        (kostka_multi, (((2, 1), (1,)), (2, 1, 1))),
+        (theta_kostka, (((1, (2,)), (2, (1,))), (2, 1, 1))),
+        (kostka, ((4, 1), (1, 1, 1, 1, 1))),
+    ]
+    cold = []
+    for f, args in narrow:
+        _strip_count.cache_clear()
+        _strips.cache_clear()
+        _removals.cache_clear()
+        cold.append(f(*args))
+    warm = [f(*args) for f, args in narrow[:2]]
+    assert theta_kostka([(2**64, (2, 1)), (1, (1,))], (2**64, 2**64, 2**64, 1)) == 2
+    warm += [f(*args) for f, args in narrow]
+    assert warm == cold[:2] + cold
 
 
 def test_identical_components_count_standard_multitableaux():

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,41 @@ def test_subset_sum_fast_path_vs_exhaustive():
         if 0 < target < total:
             mu = tuple(sorted((target, total - target), reverse=True))
             assert theta_positive(entries, mu) == expected
+
+
+# A child process under a 2 GiB address-space limit: the subset-sum bitset
+# of the first case would have 2^41 + 1 bits (256 GiB), that of the last,
+# 45 entries of 2^38, about 2^43.5 bits, and each would raise MemoryError.
+LARGE_ORBITS = """
+import random, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from kostka.ggg import theta_positive
+big = 2**64
+v = [random.Random(40).randint(2**39, 2**40) for _ in range(16)]
+print(
+    theta_positive([(2**40, (1,))] * 2, (2**40, 2**40)),
+    theta_positive([(big - 1, (1,)), (big - 3, (1,)), (2, (1,))], (big - 1, big - 1)),
+    theta_positive([(big, (1,)), (big, (1,)), (3, (1,))], (big + 3, big)),
+    theta_positive([(big, (1,)), (big, (1,)), (3, (1,))], (big + 2, big + 1)),
+    theta_positive([(x, (1,)) for x in v], (sum(v[:8]), sum(v[8:]))),
+    theta_positive([(2**38, (1,))] * 45, (23 * 2**38, 22 * 2**38)),
+)
+"""
+
+
+def test_theta_positive_large_orbit_sizes_stay_small():
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", LARGE_ORBITS],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["True", "True", "True", "False", "True", "True"]
 
 
 def test_zelcor_examples():
