@@ -269,3 +269,52 @@ def test_counts_are_decimal_strings(capsys):
     )
     assert out["kostka"] == str(kostka((8, 6, 4, 2), (1,) * 20))
     assert isinstance(out["kostka"], str)
+
+
+# every subcommand with the options its usage line names
+SUBCOMMAND_OPTIONS = {
+    "count": ["--shape", "--weight", "--oracle"],
+    "count-multi": ["--shape", "--weight", "--oracle"],
+    "positive": ["--shape", "--weight", "--exit-code"],
+    "mult-one": ["--shape", "--weight", "--exit-code"],
+    "mult-one-multi": ["--shape", "--weight", "--exit-code"],
+    "unique": ["--shape", "--exit-code"],
+    "unique-multi": ["--shape", "--exit-code"],
+    "enumerate": ["--shape", "--weight", "--count-only"],
+    "greedy": ["--shape", "--weight"],
+    "wreath-decompose": ["--r", "--d", "--mu"],
+    "ggg-count": ["--entries", "--mu"],
+    "ggg-positive": ["--entries", "--mu", "--exit-code"],
+    "ggg-mult-one": ["--entries", "--mu", "--exit-code"],
+}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMAND_OPTIONS)
+def test_subcommand_help(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0].split()
+    assert usage[:4] == ["usage:", "kostka", sub, "[-h]"]
+    options = [word.strip("[]") for word in usage if word.lstrip("[").startswith("--")]
+    assert options == SUBCOMMAND_OPTIONS[sub]
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(SUBCOMMAND_OPTIONS) + "}" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["no-such-command"], ["positive", "--shape", "3"]]
+)
+def test_usage_errors_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kostka")

@@ -1,32 +1,90 @@
-"""Importing the package loads nothing but the package."""
+"""Importing the package loads nothing but the package, and only what is used."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import kostka
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# The standard-library modules the package imports today are loaded first,
-# so a new one (a module that is not loaded at interpreter start costs its
-# own import on every `import kostka`) shows up in the difference.
-PROBE = """
+ENGINE = ["counting", "errors", "ggg", "partitions", "tableaux", "wreath"]
+
+# The standard-library modules the engine and the package's lazy
+# `__getattr__` import today are loaded first, so a new one (a module that is
+# not loaded at interpreter start costs its own import on every use of the
+# package) shows up in the difference. Only the steps after CLI_STDLIB may
+# rely on the two modules `kostka.cli` adds.
+PRELUDE = """
 import sys
-import collections, functools, itertools, math, operator, typing
+import collections, functools, importlib, itertools, math, operator, typing
 before = set(sys.modules)
-import kostka
-print(*sorted(set(sys.modules) - before))
 """
+CLI_STDLIB = "import argparse, json"
+ADDED = "print(*sorted(set(sys.modules) - before))\nbefore = set(sys.modules)\n"
 
 
-def test_import_adds_only_package_modules():
+def _added(*steps):
+    """The modules each step of code adds to sys.modules, the steps run one
+    after another in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    added = subprocess.run(
-        [sys.executable, "-c", PROBE],
+    code = PRELUDE + "".join(f"{step}\n{ADDED}" for step in steps)
+    lines = subprocess.run(
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.split()
+    ).stdout.splitlines()
+    return [line.split() for line in lines[-len(steps):]]
+
+
+def test_import_adds_only_package_modules():
+    [added] = _added("import kostka\nkostka.kostka((2, 1), (1, 1, 1))")
     assert "kostka.counting" in added
     assert all(name == "kostka" or name.startswith("kostka.") for name in added), added
+
+
+def test_bare_import_adds_only_the_package():
+    assert _added("import kostka") == [["kostka"]]
+
+
+def test_count_subcommand_loads_only_what_it_runs():
+    _, added = _added(
+        CLI_STDLIB,
+        "import kostka.cli\n"
+        'kostka.cli.main(["count", "--shape", "3,1", "--weight", "2,2"])',
+    )
+    assert "kostka.counting" in added
+    assert not {"kostka.tableaux", "kostka.ggg", "kostka.wreath"} & set(added), added
+
+
+def test_every_public_and_submodule_name_resolves():
+    engine, _, cli = _added(
+        "import kostka\n"
+        "for name in kostka.__all__:\n"
+        "    value = getattr(kostka, name)\n"
+        "    assert getattr(sys.modules[value.__module__], name) is value",
+        CLI_STDLIB,
+        f"for name in {ENGINE + ['cli']!r}:\n"
+        "    assert getattr(kostka, name) is sys.modules['kostka.' + name]",
+    )
+    assert set(engine) == {"kostka"} | {"kostka." + name for name in ENGINE}
+    assert cli == ["kostka.cli"]
+    assert set(kostka.__all__) | set(ENGINE) | {"cli"} <= set(dir(kostka))
+
+
+def test_star_import():
+    namespace = {}
+    exec("from kostka import *", namespace)
+    assert set(kostka.__all__) <= set(namespace)
+    assert namespace["kostka"]((6, 3, 3), (5, 4, 3)) == 1
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kostka.no_such_name
+    assert not hasattr(kostka, "no_such_name")
