@@ -8,20 +8,17 @@ Predicates run with --exit-code map true to 0 and false to 1; malformed
 input exits 2 with a JSON error object on stderr.
 
 A process answers most subcommands in microseconds, so its start-up is
-its cost.  Without a bytecode cache every module it imports is compiled
-first: counting takes 1.9 ms, tableaux 1.7, this module 2.0, partitions
-1.2, ggg 0.9 and wreath 0.7 (self time under -X importtime, fastest of 40
-fresh processes, Python 3.11 on a 2-core VM), and argparse spends most of
-the time it takes to build a parser on gettext look-ups.  So a subcommand
-parses its arguments, then imports the one module it calls, and only the
-chosen subcommand's parser is built: `count` takes 45.5 ms a process
-where importing every module and building all fourteen parsers took 49.5
-ms, and `python -c "import argparse, json"` alone takes 36.9 ms.
+its cost.  So a subcommand parses its arguments, then calls
+`kostka.<name>`, whose first use imports only the module that defines the
+name, and only the chosen subcommand's parser is built, as argparse spends
+most of the time it takes to build a parser on gettext look-ups.
 """
 
 import argparse
 import json
 import sys
+
+import kostka
 
 from .errors import KostkaError, ParseError
 
@@ -96,30 +93,22 @@ def _shapes(args):
 
 def _cmd_positive(args):
     shapes, w = _shapes(args), parse_partition(args.weight)
-    from .counting import is_positive
-
-    ok = is_positive(shapes, w)
+    ok = kostka.is_positive(shapes, w)
     return {"positive": ok}, ok
 
 
 def _cmd_count(args):
     shapes, w = _shapes(args), parse_partition(args.weight)
     if args.oracle:
-        from .tableaux import enumerate_multitableaux
-
-        n = len(enumerate_multitableaux(shapes, w))
+        n = len(kostka.enumerate_multitableaux(shapes, w))
     else:
-        from .counting import kostka_multi
-
-        n = kostka_multi(shapes, w)
+        n = kostka.kostka_multi(shapes, w)
     return {"kostka": str(n)}, None
 
 
 def _cmd_mult_one(args):
     shapes, w = _shapes(args), parse_partition(args.weight)
-    from .counting import is_multiplicity_one_multi
-
-    cert = is_multiplicity_one_multi(shapes, w)
+    cert = kostka.is_multiplicity_one_multi(shapes, w)
     doc = {"multiplicity_one": cert is not None}
     if cert is not None:
         doc["certificate"] = {"indices": list(cert)}
@@ -128,17 +117,13 @@ def _cmd_mult_one(args):
 
 def _cmd_unique(args):
     shapes = _shapes(args)
-    from .counting import unique_weight_multi
-
-    ok = unique_weight_multi(shapes)
+    ok = kostka.unique_weight_multi(shapes)
     return {"unique_weight": ok}, ok
 
 
 def _cmd_enumerate(args):
     shapes, w = _shapes(args), parse_partition(args.weight)
-    from .tableaux import enumerate_multitableaux
-
-    found = enumerate_multitableaux(shapes, w)
+    found = kostka.enumerate_multitableaux(shapes, w)
     doc = {"count": str(len(found))}
     if not args.count_only:
         if _json_shape(args):
@@ -152,16 +137,12 @@ def _cmd_enumerate(args):
 
 def _cmd_greedy(args):
     (shape,), w = _shapes(args), parse_partition(args.weight)
-    from .tableaux import greedy_tableau
-
-    return {"tableau": tableau_json(greedy_tableau(shape, w))}, None
+    return {"tableau": tableau_json(kostka.greedy_tableau(shape, w))}, None
 
 
 def _cmd_wreath(args):
     mu = parse_partition(args.mu)
-    from .wreath import decompose_permutation_character
-
-    constituents = decompose_permutation_character(args.r, args.d, mu)
+    constituents = kostka.decompose_permutation_character(args.r, args.d, mu)
     return {
         "params": {"r": args.r, "d": args.d, "n": sum(mu), "mu": list(mu)},
         "constituents": [
@@ -173,24 +154,18 @@ def _cmd_wreath(args):
 
 def _cmd_ggg_count(args):
     entries, mu = parse_theta_entries(args.entries), parse_partition(args.mu)
-    from .ggg import theta_kostka
-
-    return {"kostka": str(theta_kostka(entries, mu))}, None
+    return {"kostka": str(kostka.theta_kostka(entries, mu))}, None
 
 
 def _cmd_ggg_positive(args):
     entries, mu = parse_theta_entries(args.entries), parse_partition(args.mu)
-    from .ggg import theta_positive
-
-    ok = theta_positive(entries, mu)
+    ok = kostka.theta_positive(entries, mu)
     return {"positive": ok}, ok
 
 
 def _cmd_ggg_mult_one(args):
     entries, mu = parse_theta_entries(args.entries), parse_partition(args.mu)
-    from .ggg import zelcor_multiplicity_one
-
-    ok = zelcor_multiplicity_one(entries, mu)
+    ok = kostka.zelcor_multiplicity_one(entries, mu)
     return {"multiplicity_one": ok}, ok
 
 

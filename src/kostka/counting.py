@@ -29,9 +29,8 @@ of every memo key, so states of different widths never share one.
 35 569 times for 379 kinds of (size, shape, width), `deep` 2 745 times for
 90, and 512 entries keep every repeat of both (128 keep 35 136 of
 `table`'s 35 190); a `cli` process asks at most 216 times.  Packing every
-pair on every call instead made `table` wall_s 7.7 % higher (0.573
-against 0.529 s, 10/10 alternating pairs, seed 7, 2-core VM) and
-op_p50_ms 2.8 % higher (8/10).
+pair on every call made `table` wall_s 7.7 % higher (10/10 alternating
+pairs, seed 7, 2-core VM).
 
 The strip step of one letter, every state of inner shapes nu^j with each
 lambda^j/nu^j a horizontal strip, is memoized across calls in a bounded
@@ -41,15 +40,10 @@ r = 2 and 3 counts to n = 7 and 6, a few Theta tables) takes 24 635 strip
 steps of 2 813 kinds; 512 entries keep 21 654 of the 21 822 repeats, 256
 keep 20 567 and 1024 keep 21 806.  Large distinct calls, as in the `deep`
 workload, seldom repeat one (20 607 steps of 17 110 kinds), so there the
-bound is a trade.  Measured on the benchmark's in-process engine ops,
-seed 7, alternating fresh processes on a 2-core VM: unbounded, the memo
-made `deep` 21 % faster (8/8 pairs) but raised its peak memory from 29
-to 38 MiB; with no memo `deep` took 11 % less time (10/10) and `table`
-23 to 35 % more (0/10); 64 entries made `deep` 11 % faster (10/10) and
-`table` 28 % slower (0/6); 1024 entries left `deep` within its noise.
-On packed entries (6 alternating pairs, `bench/run.py --seconds 40`),
-no memo made `deep` wall_s 12.6 % lower (5/6) and `table` wall_s 9.4 %
-higher (0/6).
+bound is a trade: with no memo, `deep` wall_s was 12.6 % lower (5/6
+alternating pairs of `bench/run.py --seconds 40`) and `table` wall_s 9.4 %
+higher (0/6); unbounded, the memo raised `deep`'s peak memory from 29 to
+38 MiB.
 
 A step lays the entries end to end in one int and subtracts one packed
 removal vector from it: each row gives up at most its drop, so no field
@@ -65,18 +59,10 @@ repeat of both.  Packing a vector costs about 1 us, paid once per kind.
 
 A state of one entry, as every state of a single count is, needs no cut
 and no sort: each child is one subtraction e - d, emitted as (e - d,) or
-as () when the entry empties.  The `deep` workload's four single counts
-with n = 60 to 80 and 36 to 39 letters take 15 529 steps into 75 381
-children and repeat none, so the per-child cost is their time.  With
-tuple entries each child was a tuple(map(sub, e, d)) and a wrapper tuple,
-hashed element by element at every memo lookup; packed entries took the
-four counts from 102.5 to 73.9 ms (best of 10 alternating fresh processes
-each, 2-core VM) and `deep` wall_s from 0.134 to 0.107 s (medians of 10
-alternating runs, seed 7).  The drops are read by a plain loop: a
-comprehension over the fields took twice as long on Python 3.11.  The
-garbage collector tracks tuples but not ints, so one repetition of
-`table` runs 125 generation-0, 11 generation-1 and no full collections,
-against 161, 14 and 1 with tuple entries.
+as () when the entry empties, and hashed as one int at every memo lookup.
+The drops are read by a plain loop: a comprehension over the fields took
+twice as long on Python 3.11.  The garbage collector tracks tuples but
+not ints, so a packed entry is no object for it to scan.
 
 The multiplicity-one predicates never count: they run a single
 left-to-right scan that either produces a block certificate or reports

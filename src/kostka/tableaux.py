@@ -138,13 +138,13 @@ def redistribute_columns(rows, target):
     for c in range(width):
         col = [rows[i][c] for i in range(len(shape)) if shape[i] > c]
         length = len(col)
+        # some component still needs it: the column lengths of a sum of
+        # partitions are those of its terms together, (la + mu)' = la' u mu'
         for j, counts in enumerate(needed):
             if counts[length] > 0:
                 counts[length] -= 1
                 assigned[j].append(col)
                 break
-        else:
-            raise ShapeMismatchError(f"no component needs a column of length {length}")
     return tuple(
         tuple(tuple(col[i] for col in cols if len(col) > i) for i in range(len(comp)))
         for comp, cols in zip(target, assigned)

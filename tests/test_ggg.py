@@ -161,6 +161,16 @@ def test_theta_positive_long_weights(entries):
     assert theta_positive(entries, (1,) * 1200) is True
 
 
+def test_theta_positive_long_weight_mixed_orbit_sizes():
+    # a letter of multiplicity 1 fits in no box of orbit size 2, so the 400
+    # boxes of size 1 cannot take all 1200 letters; the search must not list
+    # which 400 of the 1200 letters they take
+    entries = [(1, (1,)), (2, (1,))] * 400
+    found, elapsed = _timed(theta_positive, entries, (1,) * 1200)
+    assert found is False
+    assert elapsed < 2
+
+
 def test_theta_kostka_many_entries():
     # one strip step over the rows of every entry, not one Python frame
     # per entry

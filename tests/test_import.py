@@ -24,7 +24,10 @@ import collections, functools, importlib, itertools, math, operator, typing
 before = set(sys.modules)
 """
 CLI_STDLIB = "import argparse, json"
-ADDED = "print(*sorted(set(sys.modules) - before))\nbefore = set(sys.modules)\n"
+ADDED = (
+    'print("added:", *sorted(set(sys.modules) - before))\n'
+    "before = set(sys.modules)\n"
+)
 
 
 def _added(*steps):
@@ -39,7 +42,8 @@ def _added(*steps):
         text=True,
         check=True,
     ).stdout.splitlines()
-    return [line.split() for line in lines[-len(steps):]]
+    # a step may print too (a CLI's JSON result): keep the ADDED lines only
+    return [line.split()[1:] for line in lines if line.startswith("added:")]
 
 
 def test_import_adds_only_package_modules():
@@ -52,14 +56,39 @@ def test_bare_import_adds_only_the_package():
     assert _added("import kostka") == [["kostka"]]
 
 
-def test_count_subcommand_loads_only_what_it_runs():
-    _, added = _added(
-        CLI_STDLIB,
-        "import kostka.cli\n"
-        'kostka.cli.main(["count", "--shape", "3,1", "--weight", "2,2"])',
-    )
-    assert "kostka.counting" in added
-    assert not {"kostka.tableaux", "kostka.ggg", "kostka.wreath"} & set(added), added
+COUNTING = {"kostka.counting", "kostka.partitions"}
+TABLEAUX = {"kostka.tableaux", "kostka.partitions"}
+WREATH = {"kostka.wreath"} | COUNTING
+GGG = {"kostka.ggg"} | COUNTING
+ENTRIES = ["--entries", '[{"size": 2, "partition": [1]}]', "--mu", "1,1"]
+
+
+# every subcommand, and the modules of the package its run adds
+SUBCOMMANDS = [
+    (["count", "--shape", "3,1", "--weight", "2,2"], COUNTING),
+    (["count-multi", "--shape", "[[1],[1]]", "--weight", "1,1"], COUNTING),
+    (["positive", "--shape", "3,1", "--weight", "2,2"], COUNTING),
+    (["mult-one", "--shape", "3,1", "--weight", "2,2"], COUNTING),
+    (["mult-one-multi", "--shape", "[[1],[1]]", "--weight", "1,1"], COUNTING),
+    (["unique", "--shape", "3,1"], COUNTING),
+    (["unique-multi", "--shape", "[[1],[1]]"], COUNTING),
+    (["count", "--shape", "3,1", "--weight", "2,2", "--oracle"], TABLEAUX),
+    (["enumerate", "--shape", "3,1", "--weight", "2,2"], TABLEAUX),
+    (["greedy", "--shape", "3,1", "--weight", "2,2"], TABLEAUX),
+    (["wreath-decompose", "--r", "2", "--d", "1", "--mu", "2"], WREATH),
+    (["ggg-count", *ENTRIES], GGG),
+    (["ggg-positive", *ENTRIES], GGG),
+    (["ggg-mult-one", *ENTRIES], GGG),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded", SUBCOMMANDS, ids=[" ".join(argv) for argv, _ in SUBCOMMANDS]
+)
+def test_subcommand_loads_only_what_it_runs(argv, loaded):
+    _, cli, run = _added(CLI_STDLIB, "import kostka.cli", f"kostka.cli.main({argv!r})")
+    assert set(cli) == {"kostka", "kostka.cli", "kostka.errors"}
+    assert {name for name in run if name.startswith("kostka.")} == loaded, run
 
 
 def test_every_public_and_submodule_name_resolves():

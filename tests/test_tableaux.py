@@ -29,6 +29,11 @@ def test_validate_rejects_weak_column():
     assert not is_semistandard(((1,), (1,)), shape=(1, 1))
 
 
+def test_validate_rejects_longer_lower_row():
+    # rows that are not a partition's are refused before any column is read
+    assert not is_semistandard(((1,), (2, 3)))
+
+
 def test_validate_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         is_semistandard(((1, 1),), shape=(3,))
