@@ -250,26 +250,18 @@ def is_multiplicity_one_multi(shapes, weight):
         return None
     indices = []
     start = balance = 0
-    first = prev = None  # the block's first row, and the row before this one
-    closing = False  # the block dropped late, so that row must close it
+    drop = prev = None  # the row where the block dropped, and the row before this one
     for i, row in enumerate(zip(*[c + (0,) * (l - len(c)) for c in shapes])):
-        if i == start:
-            first = row
-        elif row != prev:
-            if closing or first != prev:
+        if i > start and row != prev:
+            if drop is not None or sum(a != b for a, b in zip(row, prev)) > 1:
                 return None
-            if sum(a != b for a, b in zip(row, prev)) > 1:
-                return None
-            closing = i > start + 1
-        elif closing:
-            return None
+            drop = i
         balance += sum(row) - mu[i]
-        if balance < 0:
+        if balance < 0 or balance and drop == i > start + 1:  # a late drop closes its block
             return None
         if balance == 0:
             indices.append(i + 1)
-            start = i + 1
-            closing = False
+            start, drop = i + 1, None
         prev = row
     return tuple(indices)
 

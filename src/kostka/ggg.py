@@ -35,10 +35,6 @@ def normalize_entries(entries):
     return tuple(zip(sizes, shapes))
 
 
-def theta_size(entries):
-    return sum(s * sum(shape) for s, shape in normalize_entries(entries))
-
-
 def _checked(entries, mu):
     """Validated entries, and the weight sorted to a partition of their total."""
     entries = normalize_entries(entries)

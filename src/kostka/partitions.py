@@ -64,11 +64,6 @@ def normalize_multi(components):
         raise NonIntegerEntryError(f"not a sequence of partitions: {components!r}") from None
 
 
-def part(p, i):
-    """Part i (0-indexed) with zero padding past the length."""
-    return p[i] if i < len(p) else 0
-
-
 def dominates(a, b):
     """True iff every prefix sum of a is >= the prefix sum of b."""
     a, b = normalize(a), normalize(b)

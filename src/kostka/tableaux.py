@@ -31,7 +31,6 @@ from .partitions import (
     integers,
     normalize,
     normalize_multi,
-    part,
 )
 
 
@@ -73,9 +72,8 @@ def is_semistandard(rows, shape=None):
 
 def weight(rows):
     """Composition counting occurrences of each entry, up to the largest."""
-    entries = [e for r in _rows(rows) for e in r]
-    top = max(entries, default=0)
-    return tuple(sum(1 for e in entries if e == i) for i in range(1, top + 1))
+    counts = Counter(e for r in _rows(rows) for e in r)
+    return tuple(map(counts.__getitem__, range(1, max(counts, default=0) + 1)))
 
 
 def multi_weight(components):
@@ -106,9 +104,9 @@ def greedy_tableau(shape, mu):
     cur = list(shape)
     for entry in range(len(mu), 0, -1):
         remaining = mu[entry - 1]
-        prev = tuple(cur)
+        prev = (*cur, 0)
         for i in range(len(cur) - 1, -1, -1):
-            free = cur[i] - part(prev, i + 1)
+            free = cur[i] - prev[i + 1]
             take = min(remaining, free)
             for c in range(cur[i] - take, cur[i]):
                 rows[i][c] = entry
@@ -204,7 +202,7 @@ def enumerate_multitableaux(shapes, w):
     # every row below it, so no two components share a row or a column
     inner, outer = (), ()
     for shape in reversed(shapes):
-        shift = part(outer, 0)
+        shift = outer[0] if outer else 0
         inner = (shift,) * len(shape) + inner
         outer = tuple(shift + p for p in shape) + outer
     chains = [(inner,)]

@@ -30,28 +30,25 @@ class Constituent(NamedTuple):
 
 
 def hook_length_degree(shape):
-    """Number of standard Young tableaux of the shape (hook length formula)."""
-    shape = normalize(shape)
-    conj = conjugate(shape)
-    hooks = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hooks *= (row - j) + (conj[j] - i) - 1
-    return factorial(sum(shape)) // hooks
+    """Number of standard Young tableaux of the shape (hook length formula):
+    the one-component case of `irreducible_degree`."""
+    return irreducible_degree((shape,))
 
 
 def irreducible_degree(label):
     """Degree of the irreducible character labelled by a multipartition.
 
-    For abelian base groups every linear factor is 1, leaving
-    n! * prod SYT(component) / prod |component|!.
+    For abelian base groups every linear factor is 1, leaving n! over the
+    product of the hook lengths of all the components.
     """
     label = normalize_multi(label)
-    n = sum(sum(c) for c in label)
-    deg = factorial(n)
-    for c in label:
-        deg = deg * hook_length_degree(c) // factorial(sum(c))
-    return deg
+    hooks = 1
+    for shape in label:
+        conj = conjugate(shape)
+        for i, row in enumerate(shape):
+            for j in range(row):
+                hooks *= row - j + conj[j] - i - 1
+    return factorial(sum(map(sum, label))) // hooks
 
 
 def _allowed_labels(r, d, n):
@@ -76,12 +73,8 @@ def decompose_permutation_character(r, d, mu):
     if r % d:
         raise InvalidDivisorError(f"{d} does not divide {r}")
     n = sum(mu)
-    out = []
-    for label in _allowed_labels(r, d, n):
-        if not _dominates(_tilde(label), mu):
-            continue
-        m = _count([(1, c) for c in label], mu)
-        if m:
-            out.append(Constituent(label, m))
-    out.sort(key=lambda c: c.label)
-    return out
+    return sorted(
+        Constituent(label, _count([(1, c) for c in label], mu))
+        for label in _allowed_labels(r, d, n)
+        if _dominates(_tilde(label), mu)  # the count is positive iff this holds
+    )

@@ -20,7 +20,6 @@ from kostka.ggg import (
     normalize_entries,
     theta_kostka,
     theta_positive,
-    theta_size,
     zelcor_multiplicity_one,
 )
 from kostka.partitions import multipartitions_of, partitions_of
@@ -38,11 +37,6 @@ def test_normalize_entries():
         normalize_entries([(2, ())])
     with pytest.raises(EmptyShapeError):
         normalize_entries([(0, (1,))])
-
-
-def test_theta_size():
-    assert theta_size(((2, (1,)), (3, (1,)))) == 5
-    assert theta_size(((2, (2, 1)),)) == 6
 
 
 def test_theta_kostka_examples():
@@ -117,7 +111,7 @@ def test_theta_positive_iff_count_positive():
                 )
     # mixed shapes and orbit sizes past n = 5, where the search is memoized
     entries = ((2, (2, 1)), (3, (1, 1)), (5, (1,)))
-    for mu in partitions_of(theta_size(entries)):
+    for mu in partitions_of(sum(s * sum(shape) for s, shape in entries)):
         assert theta_positive(entries, mu) == (theta_kostka(entries, mu) > 0), mu
 
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from kostka.errors import NotDominatedError, ShapeMismatchError, SizeMismatchError
@@ -43,6 +45,13 @@ def test_weight():
     assert weight(SAMPLE_TABLEAU) == (3, 3, 2, 1)
     assert weight(((3,),)) == (0, 0, 1)
     assert weight(((1,) * 5,)) == (5,)
+
+
+def test_weight_of_a_long_row_in_time():
+    # one pass over the boxes, not one per letter, which takes seconds here
+    start = time.monotonic()
+    assert weight((tuple(range(1, 20_001)),)) == (1,) * 20_000
+    assert time.monotonic() - start < 1
 
 
 def test_greedy_residue_pattern():

@@ -4,7 +4,7 @@ import pytest
 
 from kostka.counting import kostka_multi
 from kostka.errors import InvalidDivisorError
-from kostka.partitions import partitions_of, tilde
+from kostka.partitions import multipartitions_of, partitions_of, tilde
 from kostka.wreath import (
     Constituent,
     decompose_permutation_character,
@@ -36,10 +36,16 @@ def test_irreducible_degree_examples():
     assert irreducible_degree(((2, 1), (1,))) == 8
 
 
+def test_irreducible_degree_counts_standard_multitableaux():
+    # both count the standard multitableaux: weight (1, ..., 1)
+    for r in (1, 2, 3):
+        for n in range(0, 7):
+            for label in multipartitions_of(n, r):
+                assert irreducible_degree(label) == kostka_multi(label, (1,) * n), label
+
+
 def test_irreducible_degrees_square_sum():
     # degrees of the r = 2 irreducibles square-sum to the group order 2^n n!
-    from kostka.partitions import multipartitions_of
-
     for n in range(0, 6):
         total = sum(
             irreducible_degree(label) ** 2 for label in multipartitions_of(n, 2)

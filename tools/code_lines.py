@@ -1,14 +1,17 @@
 """Count the code lines of Python files: no blank lines, comments or docstrings.
 
     python3 tools/code_lines.py src/kostka/*.py
+    python3 tools/code_lines.py src/kostka
 
-Prints one line per file and the total, between Markdown code fences, so
-the output can be appended to a CI step summary as it is.
+A directory stands for its *.py files, sorted.  Prints one line per file
+and the total, between Markdown code fences, so the output can be appended
+to a CI step summary as it is.
 """
 
 import ast
 import sys
 import tokenize
+from pathlib import Path
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -34,7 +37,10 @@ def code_lines(path):
 def main(paths):
     total = 0
     print("```")
-    for path in paths:
+    files = []
+    for p in map(Path, paths):
+        files += sorted(p.glob("*.py")) if p.is_dir() else [p]
+    for path in files:
         n = code_lines(path)
         total += n
         print(f"{n:7d} {path} (code only)")
