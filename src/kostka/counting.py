@@ -32,18 +32,17 @@ of every memo key, so states of different widths never share one.
 pair on every call made `table` wall_s 7.7 % higher (10/10 alternating
 pairs, seed 7, 2-core VM).
 
-The strip step of one letter, every state of inner shapes nu^j with each
-lambda^j/nu^j a horizontal strip, is memoized across calls in a bounded
-LRU of 512 entries.  A table of counts repeats it far more often than it
-changes: the benchmark's `table` workload (every single count to n = 13,
-r = 2 and 3 counts to n = 7 and 6, a few Theta tables) takes 24 635 strip
-steps of 2 813 kinds; 512 entries keep 21 654 of the 21 822 repeats, 256
-keep 20 567 and 1024 keep 21 806.  Large distinct calls, as in the `deep`
-workload, seldom repeat one (20 607 steps of 17 110 kinds), so there the
-bound is a trade: with no memo, `deep` wall_s was 12.6 % lower (5/6
-alternating pairs of `bench/run.py --seconds 40`) and `table` wall_s 9.4 %
-higher (0/6); unbounded, the memo raised `deep`'s peak memory from 29 to
-38 MiB.
+The strip step of one letter of a state of two or more entries, every
+state of inner shapes nu^j with each lambda^j/nu^j a horizontal strip, is
+memoized across calls in a bounded LRU of 512 entries, `_strips`; a
+one-entry state takes its step inside `_strip_count` (see there).  A table
+of counts repeats a multi-entry step more often than it changes: the
+benchmark's `table` workload (every single count to n = 13, r = 2 and 3
+counts to n = 7 and 6, a few Theta tables) takes 1 771 such steps of 554
+kinds, and 512 entries keep all 1 217 repeats (256 keep 1 195, 128 keep
+1 166).  `deep` takes 613, all of different kinds, so the bound only caps
+its memory there.  With no memo, `table` wall_s was 3.3 % higher (8/10
+alternating pairs of `bench/run.py --seconds 40`, seed 7, 2-core VM).
 
 A step lays the entries end to end in one int and subtracts one packed
 removal vector from it: each row gives up at most its drop, so no field
@@ -53,16 +52,12 @@ entry shifted down one field minus the entry shifted down two.  The
 vectors are the `partitions.bounded_compositions` of m, each row weighted
 by its orbit size and capped by its drop, cut at m // size, packed as the
 entries are.  They depend on nothing else, so `_removals` shares them
-across shapes, entries and calls: `deep` asks 20 168 times for 560
-kinds, `table` 2 981 times for 1 831 kinds, and 2048 entries keep every
-repeat of both.  Packing a vector costs about 1 us, paid once per kind.
-
-A state of one entry, as every state of a single count is, needs no cut
-and no sort: each child is one subtraction e - d, emitted as (e - d,) or
-as () when the entry empties, and hashed as one int at every memo lookup.
-The drops are read by a plain loop: a comprehension over the fields took
-twice as long on Python 3.11.  The garbage collector tracks tuples but
-not ints, so a packed entry is no object for it to scan.
+across shapes, entries and calls, one-entry steps included: `table` asks
+23 418 times for 1 831 kinds, `deep` 20 617 times for 560, and 2048
+entries keep every repeat of both (1024 keep 21 516 of `table`'s 21 587).
+Packing a vector costs about 1 us, paid once per kind.  The garbage
+collector tracks tuples but not ints, so a packed entry is no object for
+it to scan.
 
 The multiplicity-one predicates never count: they run a single
 left-to-right scan that either produces a block certificate or reports
@@ -92,12 +87,40 @@ def _strip_count(entries, runs, width):
     partition weight whose runs are (part, count, part, count, ...), e.g.
     (2, 1, 1, 3) for (2, 1, 1, 1).  The last letter, of multiplicity
     runs[-2], fills one strip in every entry; the rest of the weight is the
-    runs with the last count lowered by one."""
+    runs with the last count lowered by one.
+
+    A state of one entry, as every state of a single count is, takes its
+    step here and not from `_strips`: its caps are its drops, cut at
+    m // s, and each child is one subtraction e - d, emitted as (e - d,) or
+    as () when the entry empties, with no cut and no sort.  The drops are
+    read by a plain loop: a comprehension over the fields took twice as
+    long on Python 3.11.  Such a step takes no memo, because the large
+    single counts seldom repeat one, and where they do, as in a table of
+    small counts, computing the step costs little more than looking it
+    up: through the memo, `deep`'s one-entry steps were 19 994 lookups of
+    16 497 kinds, and `table`'s 22 864 of 2 259, which 512 entries served
+    20 511 times.  Stepping them here made `deep` wall_s 25 % lower and
+    `table` wall_s 3.7 % higher (medians of 10 alternating pairs of
+    `bench/run.py --seconds 40`, seed 7, 2-core VM)."""
     if not runs:
         return 0 if entries else 1
     m, c = runs[-2:]
     rest = runs[:-1] + (c - 1,) if c > 1 else runs[:-2]
     total = 0
+    if len(entries) == 1:
+        e = entries[0]
+        low, mask = 1 << width, (1 << width) - 1
+        s, drops = e & mask, (e >> width) - (e >> 2 * width)
+        t = m // s
+        caps = [0]
+        while drops:
+            d = drops & mask
+            caps.append(d if d < t else t)
+            drops >>= width
+        for d in _removals(m, (s,) * len(caps), tuple(caps), width):
+            nu = e - d
+            total += _strip_count((nu,) if nu >= low else (), rest, width)
+        return total
     for inner in _strips(entries, m, width):
         total += _strip_count(inner, rest, width)
     return total
@@ -112,8 +135,8 @@ def _inner_multi(entries, m, width):
     gives up at most its drop lambda_i - lambda_{i+1} and m // s boxes, so
     no field borrows and only an entry's last row can empty; its orbit size
     is a field that gives up none.  The drops are the fields of the entry
-    shifted by one field minus the entry shifted by two.  A one-entry state
-    needs no cut and no sort: each child is one subtraction."""
+    shifted by one field minus the entry shifted by two.  `_strip_count`
+    steps one-entry states itself."""
     low, mask = 1 << width, (1 << width) - 1
     weights, caps, cuts, flat = [], [], [], 0
     for e in entries:
@@ -127,13 +150,8 @@ def _inner_multi(entries, m, width):
         weights += (s,) * (len(caps) - first)
         cuts.append((first * width, (1 << (len(caps) - first) * width) - 1))
         flat |= e << first * width
-    out, vectors = [], _removals(m, tuple(weights), tuple(caps), width)
-    if len(entries) == 1:
-        for d in vectors:
-            nu = flat - d
-            out.append((nu,) if nu >= low else ())
-        return tuple(out)
-    for d in vectors:
+    out = []
+    for d in _removals(m, tuple(weights), tuple(caps), width):
         nu, nus = flat - d, []
         for a, b in cuts:
             x = nu >> a & b

@@ -177,6 +177,27 @@ def kostka_by_alternant(shape, w):
     return total
 
 
+def kostka_two_row(shape, w):
+    """K((n - k, k), w) = c_k - c_(k - 1), c_j the coefficient of q^j in
+    the product of 1 + q + ... + q^(w_i) over the letters: c_j counts the
+    ways to split w into the rows of h_(n - j) h_j (Young's rule), and the
+    Jacobi-Trudi determinant s_(n - k, k) = h_(n - k) h_k - h_(n - k + 1)
+    h_(k - 1) takes their difference.  The product is kept to q^k, one
+    letter at a time, each new coefficient a window sum of the old ones."""
+    assert len(shape) <= 2
+    k = shape[1] if len(shape) == 2 else 0
+    coeffs = [1] + [0] * k
+    for letter in w:
+        window, grown = 0, []
+        for j in range(k + 1):
+            window += coeffs[j]
+            if j > letter:
+                window -= coeffs[j - letter - 1]
+            grown.append(window)
+        coeffs = grown
+    return coeffs[k] - (coeffs[k - 1] if k else 0)
+
+
 def subset_sum_exhaustive(values, target):
     return any(
         sum(c) == target

@@ -35,7 +35,14 @@ from kostka.partitions import (
     tilde,
 )
 from kostka.tableaux import _strips_between, enumerate_tableaux
-from oracles import kostka_by_alternant, matrix_count, multi_standard_count, standard_count
+from oracles import (
+    kostka_by_alternant,
+    kostka_two_row,
+    matrix_count,
+    multi_standard_count,
+    naive_multitableaux,
+    standard_count,
+)
 
 
 def test_kostka_known_values():
@@ -233,6 +240,29 @@ def test_long_weights_match_the_alternant():
         assert kostka(lam, w) == kostka_by_alternant(lam, w), (lam, w)
 
 
+def test_two_row_counts_match_the_closed_form():
+    # every shape of at most two rows to n = 12 on every weight, then long
+    # weights with n = 200-400 from cleared memos, against the two-row
+    # closed form, which shares no code with the engine; the long weights
+    # are compositions of 10-60 letters, zeros shuffled in
+    for n in range(0, 13):
+        for lam in partitions_of(n):
+            if len(lam) <= 2:
+                for mu in partitions_of(n):
+                    assert kostka(lam, mu) == kostka_two_row(lam, mu), (lam, mu)
+    rng = random.Random(27)
+    for _ in range(10):
+        n = rng.randint(200, 400)
+        k = rng.randint(1, n // 2)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(9, 59)))
+        w = [b - a for a, b in zip([0] + cuts, cuts + [n])] + [0] * rng.randrange(3)
+        rng.shuffle(w)
+        _strip_count.cache_clear()
+        _strips.cache_clear()
+        _removals.cache_clear()
+        assert kostka((n - k, k), w) == kostka_two_row((n - k, k), w), (n, k, w)
+
+
 def test_counts_do_not_depend_on_memo_state():
     # every K(lambda, mu) with n <= 8, every r = 2 count with n <= 5, and a
     # mixed-orbit Theta table whose shapes, in the engine's order, are also
@@ -262,16 +292,42 @@ def test_counts_do_not_depend_on_memo_state():
 
 
 def test_strip_memo_is_bounded():
-    # a sweep to n = 10 meets more distinct strip steps than the memo keeps
+    # only states of two or more entries reach the strip memo, and every
+    # r = 2 count to n = 9 from cleared memos meets more distinct strip
+    # steps of them than the memo keeps
+    _strip_count.cache_clear()
     _strips.cache_clear()
-    for n in range(0, 11):
-        for lam in partitions_of(n):
+    for n in range(0, 10):
+        for shapes in multipartitions_of(n, 2):
             for mu in partitions_of(n):
-                kostka(lam, mu)
+                kostka_multi(shapes, mu)
     info = _strips.cache_info()
     assert info.maxsize is not None
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize
+
+
+def test_single_counts_skip_the_strip_memo():
+    # a one-entry state, every state of a single count, takes its strip step
+    # inside _strip_count, so a large single count from cleared memos, or
+    # one with an empty second component, leaves the strip memo's counters
+    # as they were; two nonempty components still go through it
+    rng = random.Random(3)
+    cuts = sorted(rng.sample(range(1, 65), 38))
+    w = tuple(b - a for a, b in zip([0] + cuts, cuts + [65]))
+    lam = (26, 23, 12, 4)
+
+    def lookups():
+        info = _strips.cache_info()
+        return info.hits + info.misses
+
+    _strip_count.cache_clear()
+    before = lookups()
+    assert kostka(lam, w) == kostka_multi(((), lam), w) > 0
+    assert lookups() == before
+    shapes, mu = ((3, 1), (2,)), (2, 2, 1, 1)
+    assert kostka_multi(shapes, mu) == len(naive_multitableaux(shapes, mu))
+    assert lookups() > before
 
 
 def test_removal_memo_is_bounded():

@@ -5,10 +5,12 @@
 
 A directory stands for its *.py files, sorted.  Prints one line per file
 and the total, between Markdown code fences, so the output can be appended
-to a CI step summary as it is.
+to a CI step summary as it is.  A reader that closes the pipe early, as
+`head` does, ends the script with status 1 and no traceback.
 """
 
 import ast
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -49,4 +51,11 @@ def main(paths):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early, as `head` does: point stdout at devnull
+        # so that the flush at exit cannot raise again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
