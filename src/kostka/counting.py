@@ -8,7 +8,8 @@ symmetric in the weight, so it is sorted to a partition first and the
 memo is keyed by its runs (part, count, part, count, ...): removing a
 letter changes only the last run, so a letter costs constant key work.
 The recursion takes one Python frame per letter, so at the default
-recursion limit of 1000 a weight of more than about 495 letters raises
+recursion limit of 1000, from cleared memos, (496,) on 1^496 is the
+longest one-row count that succeeds: (497,) on 1^497 raises
 RecursionError.
 
 The counts are symmetric in the components as well, and an empty one
@@ -32,18 +33,6 @@ of every memo key, so states of different widths never share one.
 pair on every call made `table` wall_s 7.7 % higher (10/10 alternating
 pairs, seed 7, 2-core VM).
 
-The strip step of one letter of a state of two or more entries, every
-state of inner shapes nu^j with each lambda^j/nu^j a horizontal strip, is
-memoized across calls in a bounded LRU of 512 entries, `_strips`; a
-one-entry state takes its step inside `_strip_count` (see there).  A table
-of counts repeats a multi-entry step more often than it changes: the
-benchmark's `table` workload (every single count to n = 13, r = 2 and 3
-counts to n = 7 and 6, a few Theta tables) takes 1 771 such steps of 554
-kinds, and 512 entries keep all 1 217 repeats (256 keep 1 195, 128 keep
-1 166).  `deep` takes 613, all of different kinds, so the bound only caps
-its memory there.  With no memo, `table` wall_s was 3.3 % higher (8/10
-alternating pairs of `bench/run.py --seconds 40`, seed 7, 2-core VM).
-
 A step lays the entries end to end in one int and subtracts one packed
 removal vector from it: each row gives up at most its drop, so no field
 borrows, and an entry's orbit size is a field that gives up nothing.  The
@@ -52,12 +41,26 @@ entry shifted down one field minus the entry shifted down two.  The
 vectors are the `partitions.bounded_compositions` of m, each row weighted
 by its orbit size and capped by its drop, cut at m // size, packed as the
 entries are.  They depend on nothing else, so `_removals` shares them
-across shapes, entries and calls, one-entry steps included: `table` asks
-23 418 times for 1 831 kinds, `deep` 20 617 times for 560, and 2048
-entries keep every repeat of both (1024 keep 21 516 of `table`'s 21 587).
+across shapes, entries and calls: `table` asks 24 635 times for 1 831
+kinds, `deep` 20 607 times for 560, and 2048 entries keep every repeat of
+both (1024 keep 22 724 of `table`'s 22 804).
 Packing a vector costs about 1 us, paid once per kind.  The garbage
 collector tracks tuples but not ints, so a packed entry is no object for
 it to scan.
+
+No strip step is memoized: `_strip_count` makes each child where it
+recurses on it, and its own memo is the only reuse of strip work across
+calls.  A table of small counts repeats steps, but a step costs little
+more than a lookup of its children, which would need them built as a
+tuple first.  The benchmark's `table` workload (every single count to
+n = 13, r = 2 and 3 counts to n = 7 and 6, a few Theta tables) takes
+22 864 one-entry steps of 2 259 kinds and 1 771 multi-entry steps of 554
+kinds; `deep` takes 19 999 of 16 500 and 613 of 613.  Through an LRU of
+512 entries, the one-entry steps made `deep` wall_s 34 % higher.  Against
+such an LRU on the multi-entry steps, `table` wall_s read 1.2 % lower and
+4.2 % higher in two series (5/10 and 3/10 pairs better) and op_tail_ms
+11-15 % lower (10/10 in both); each series is 10 alternating pairs of
+`bench/run.py --seconds 40`, seed 7, on a 2-core VM.
 
 The multiplicity-one predicates never count: they run a single
 left-to-right scan that either produces a block certificate or reports
@@ -89,27 +92,25 @@ def _strip_count(entries, runs, width):
     runs[-2], fills one strip in every entry; the rest of the weight is the
     runs with the last count lowered by one.
 
-    A state of one entry, as every state of a single count is, takes its
-    step here and not from `_strips`: its caps are its drops, cut at
-    m // s, and each child is one subtraction e - d, emitted as (e - d,) or
-    as () when the entry empties, with no cut and no sort.  The drops are
-    read by a plain loop: a comprehension over the fields took twice as
-    long on Python 3.11.  Such a step takes no memo, because the large
-    single counts seldom repeat one, and where they do, as in a table of
-    small counts, computing the step costs little more than looking it
-    up: through the memo, `deep`'s one-entry steps were 19 994 lookups of
-    16 497 kinds, and `table`'s 22 864 of 2 259, which 512 entries served
-    20 511 times.  Stepping them here made `deep` wall_s 25 % lower and
-    `table` wall_s 3.7 % higher (medians of 10 alternating pairs of
-    `bench/run.py --seconds 40`, seed 7, 2-core VM)."""
+    The step is taken here, in one of two branches, and each child is
+    counted as soon as it is made; no step is memoized (see the module
+    docstring).  A state of one entry, as every state of a single count
+    is, has caps that are its drops, cut at m // s, and each child is one
+    subtraction e - d, recursed on as (e - d,) or as () when the entry
+    empties, with no cut and no sort.  A state of two or more entries is
+    laid end to end in one int; each child is that int minus a removal
+    vector, cut back into entries, the emptied ones (below 1 << width)
+    dropped and the rest sorted, so equal entries repeat children.  The
+    drops are read by a plain loop: a comprehension over the fields took
+    twice as long on Python 3.11."""
     if not runs:
         return 0 if entries else 1
     m, c = runs[-2:]
     rest = runs[:-1] + (c - 1,) if c > 1 else runs[:-2]
     total = 0
+    low, mask = 1 << width, (1 << width) - 1
     if len(entries) == 1:
         e = entries[0]
-        low, mask = 1 << width, (1 << width) - 1
         s, drops = e & mask, (e >> width) - (e >> 2 * width)
         t = m // s
         caps = [0]
@@ -121,36 +122,18 @@ def _strip_count(entries, runs, width):
             nu = e - d
             total += _strip_count((nu,) if nu >= low else (), rest, width)
         return total
-    for inner in _strips(entries, m, width):
-        total += _strip_count(inner, rest, width)
-    return total
-
-
-def _inner_multi(entries, m, width):
-    """Every inner state (s_j, *nu^j), each lambda^j/nu^j a horizontal
-    k_j-strip and the sum of s_j * k_j = m >= 1, once per choice of the
-    nu^j, so equal entries repeat states: the entries laid end to end in
-    one int, minus a `_removals` vector, cut back into entries, the emptied
-    ones (below 1 << width) dropped and the rest sorted.  Row i of an entry
-    gives up at most its drop lambda_i - lambda_{i+1} and m // s boxes, so
-    no field borrows and only an entry's last row can empty; its orbit size
-    is a field that gives up none.  The drops are the fields of the entry
-    shifted by one field minus the entry shifted by two.  `_strip_count`
-    steps one-entry states itself."""
-    low, mask = 1 << width, (1 << width) - 1
     weights, caps, cuts, flat = [], [], [], 0
     for e in entries:
         s, first, drops = e & mask, len(caps), (e >> width) - (e >> 2 * width)
         t = m // s
         caps.append(0)
         while drops:
-            c = drops & mask
-            caps.append(c if c < t else t)
+            d = drops & mask
+            caps.append(d if d < t else t)
             drops >>= width
         weights += (s,) * (len(caps) - first)
         cuts.append((first * width, (1 << (len(caps) - first) * width) - 1))
         flat |= e << first * width
-    out = []
     for d in _removals(m, tuple(weights), tuple(caps), width):
         nu, nus = flat - d, []
         for a, b in cuts:
@@ -158,11 +141,8 @@ def _inner_multi(entries, m, width):
             if x >= low:
                 nus.append(x)
         nus.sort()
-        out.append(tuple(nus))
-    return tuple(out)
-
-
-_strips = lru_cache(maxsize=512)(_inner_multi)  # the strip step; bounds in the docstring
+        total += _strip_count(tuple(nus), rest, width)
+    return total
 
 
 @lru_cache(maxsize=2048)

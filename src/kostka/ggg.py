@@ -98,11 +98,15 @@ def theta_positive(entries, mu):
 
 
 def _remainders(orbit_size, shape, remaining):
-    """Sorted remainders after one entry takes a weight its shape dominates."""
+    """Sorted remainders after one entry takes a weight its shape dominates.
+
+    Every tuple here is built from checked input, so each is sorted
+    plainly with its zeros dropped, without a second input check."""
     caps = tuple(x // orbit_size for x in remaining)
     for v in bounded_compositions(sum(shape), caps):
-        if _dominates(shape, sorted_weight(v)):
-            yield sorted_weight([x - orbit_size * y for x, y in zip(remaining, v)])
+        if _dominates(shape, sorted(filter(None, v), reverse=True)):
+            rest = [x - orbit_size * y for x, y in zip(remaining, v)]
+            yield tuple(sorted(filter(None, rest), reverse=True))
 
 
 def _subset_sum(values, target):

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kostka.counting as counting
 from kostka.counting import (
-    _inner_multi,
     _pack,
     _removals,
     _strip_count,
-    _strips,
     is_multiplicity_one,
     is_multiplicity_one_multi,
     is_positive,
@@ -43,6 +42,14 @@ from oracles import (
     naive_multitableaux,
     standard_count,
 )
+
+
+def clear_memos():
+    """Clear every memo of the counting engine, found by looking, so a test
+    that starts cold keeps doing so whatever memos the engine keeps."""
+    for memo in vars(counting).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
 
 
 def test_kostka_known_values():
@@ -102,7 +109,7 @@ def test_two_row_chains_from_a_cleared_cache():
     # also guards the depth reached at the default recursion limit
     for n in (300, 450):
         for k in (1, 2, 3):
-            _strip_count.cache_clear()
+            clear_memos()
             assert kostka((n - k, k), (1,) * n) == comb(n, k) - comb(n, k - 1)
 
 
@@ -137,9 +144,7 @@ def test_chain_memo_stays_small():
     # entries of constant size; keys that held the whole weight prefix
     # would keep O(n^2) memory, about 2 MiB for this call.  Every memo starts
     # cold, so every memo counts toward the limit
-    _strip_count.cache_clear()
-    _strips.cache_clear()
-    _removals.cache_clear()
+    clear_memos()
     tracemalloc.start()
     try:
         kostka((398, 2), (1,) * 400)
@@ -171,13 +176,28 @@ def decode(state):
     return tuple(sorted(entries))
 
 
+def children(state, m):
+    """The states one strip step of a letter m recurses on from an engine
+    state, in the order it makes them: the body of `_strip_count` runs on
+    the one-letter weight (m,) with its recursive calls recorded, not made."""
+    made, memo = [], counting._strip_count
+    counting._strip_count = lambda entries, runs, width: made.append(entries) or 0
+    try:
+        memo.__wrapped__(state, (m, 1), WIDTH)
+    finally:
+        counting._strip_count = memo
+    return made
+
+
 def test_inner_shapes_match_the_oracle_strips():
     # every state of the entries (orbit size, *nu^j), lambda^j/nu^j a
     # horizontal k_j-strip and sum s_j * k_j = m, once per assignment,
     # against the enumeration oracle's own strip generator (which adds
     # strips), one entry at a time: r = 1 to n = 10 and r = 2, 3 to n = 7,
     # with orbit sizes 1, 2, 3 (in every order), empty components included,
-    # for every letter size m >= 1.  Two assignments can give the same
+    # for every letter size m >= 1.  One-entry states take the engine's
+    # one-entry step and the others its multi-entry step, so each r reaches
+    # the branch it runs in a count.  Two assignments can give the same
     # sorted state, so the states are compared as multisets; the engine's
     # packed states are decoded first, and an emptied entry that the engine
     # failed to drop decodes as (orbit size,), which no oracle state holds
@@ -214,7 +234,7 @@ def test_inner_shapes_match_the_oracle_strips():
             nus = product(*map(strips, shapes, ks))
             wants.setdefault(m, Counter()).update(state(sizes, nu) for nu in nus)
         for m in range(1, sum(map(mul, sizes, firsts)) + 2):
-            got = Counter(map(decode, _inner_multi(encode(entries), m, WIDTH)))
+            got = Counter(map(decode, children(encode(entries), m)))
             assert got == wants.get(m, Counter()), (entries, m)
 
 
@@ -234,9 +254,7 @@ def test_long_weights_match_the_alternant():
     for rows, n, letters in cases:
         lam = tuple(sorted(composition(n, rows), reverse=True))
         w = composition(n, letters)
-        _strip_count.cache_clear()
-        _strips.cache_clear()
-        _removals.cache_clear()
+        clear_memos()
         assert kostka(lam, w) == kostka_by_alternant(lam, w), (lam, w)
 
 
@@ -257,9 +275,7 @@ def test_two_row_counts_match_the_closed_form():
         cuts = sorted(rng.sample(range(1, n), rng.randint(9, 59)))
         w = [b - a for a, b in zip([0] + cuts, cuts + [n])] + [0] * rng.randrange(3)
         rng.shuffle(w)
-        _strip_count.cache_clear()
-        _strips.cache_clear()
-        _removals.cache_clear()
+        clear_memos()
         assert kostka((n - k, k), w) == kostka_two_row((n - k, k), w), (n, k, w)
 
 
@@ -284,50 +300,9 @@ def test_counts_do_not_depend_on_memo_state():
     warm = [f(*args) for f, args in calls]
     cold = []
     for f, args in calls:
-        _strip_count.cache_clear()
-        _strips.cache_clear()
-        _removals.cache_clear()
+        clear_memos()
         cold.append(f(*args))
     assert cold == warm
-
-
-def test_strip_memo_is_bounded():
-    # only states of two or more entries reach the strip memo, and every
-    # r = 2 count to n = 9 from cleared memos meets more distinct strip
-    # steps of them than the memo keeps
-    _strip_count.cache_clear()
-    _strips.cache_clear()
-    for n in range(0, 10):
-        for shapes in multipartitions_of(n, 2):
-            for mu in partitions_of(n):
-                kostka_multi(shapes, mu)
-    info = _strips.cache_info()
-    assert info.maxsize is not None
-    assert info.misses > info.maxsize
-    assert info.currsize <= info.maxsize
-
-
-def test_single_counts_skip_the_strip_memo():
-    # a one-entry state, every state of a single count, takes its strip step
-    # inside _strip_count, so a large single count from cleared memos, or
-    # one with an empty second component, leaves the strip memo's counters
-    # as they were; two nonempty components still go through it
-    rng = random.Random(3)
-    cuts = sorted(rng.sample(range(1, 65), 38))
-    w = tuple(b - a for a, b in zip([0] + cuts, cuts + [65]))
-    lam = (26, 23, 12, 4)
-
-    def lookups():
-        info = _strips.cache_info()
-        return info.hits + info.misses
-
-    _strip_count.cache_clear()
-    before = lookups()
-    assert kostka(lam, w) == kostka_multi(((), lam), w) > 0
-    assert lookups() == before
-    shapes, mu = ((3, 1), (2,)), (2, 2, 1, 1)
-    assert kostka_multi(shapes, mu) == len(naive_multitableaux(shapes, mu))
-    assert lookups() > before
 
 
 def test_removal_memo_is_bounded():
@@ -338,7 +313,7 @@ def test_removal_memo_is_bounded():
         for lam in partitions_of(n):
             for s in (1, 2):
                 for m in range(1, s * lam[0] + 1 if lam else 1):
-                    _inner_multi(encode([(s, *lam)]), m, WIDTH)
+                    children(encode([(s, *lam)]), m)
     info = _removals.cache_info()
     assert info.maxsize is not None
     assert info.misses > info.maxsize
@@ -357,6 +332,30 @@ def test_pack_memo_is_bounded():
     assert info.maxsize is not None
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize
+
+
+def test_engine_keeps_three_memos():
+    # the strip-step memo is gone: what the engine memoizes is the count per
+    # state, unbounded, and the two bounded helper memos
+    memos = {k: v.cache_info().maxsize for k, v in vars(counting).items()
+             if hasattr(v, "cache_clear")}
+    assert memos == {"_strip_count": None, "_removals": 2048, "_pack": 512}
+
+
+def test_one_and_two_entry_counts_match_the_oracles():
+    # a count with an empty component has one-entry states only, so a long
+    # one from cleared memos runs the one-entry step throughout; two
+    # nonempty components run the multi-entry step
+    rng = random.Random(3)
+    cuts = sorted(rng.sample(range(1, 65), 38))
+    w = tuple(b - a for a, b in zip([0] + cuts, cuts + [65]))
+    lam = (26, 23, 12, 4)
+    clear_memos()
+    assert kostka(lam, w) == kostka_multi(((), lam), w) > 0
+    assert kostka_multi((lam, ()), w) == kostka(lam, w)
+    shapes, mu = ((3, 1), (2,)), (2, 2, 1, 1)
+    clear_memos()
+    assert kostka_multi(shapes, mu) == len(naive_multitableaux(shapes, mu))
 
 
 def test_wide_values_through_every_count():
@@ -382,9 +381,7 @@ def test_wide_calls_leave_narrow_answers_alone():
     ]
     cold = []
     for f, args in narrow:
-        _strip_count.cache_clear()
-        _strips.cache_clear()
-        _removals.cache_clear()
+        clear_memos()
         cold.append(f(*args))
     warm = [f(*args) for f, args in narrow[:2]]
     assert theta_kostka([(2**64, (2, 1)), (1, (1,))], (2**64, 2**64, 2**64, 1)) == 2
@@ -404,7 +401,7 @@ def test_identical_components_count_standard_multitableaux():
 def test_identical_components_share_states():
     # six copies of (2, 1) on 1^18 reach 15 625 states when the components
     # keep their order, and a few hundred when a state is a sorted tuple
-    _strip_count.cache_clear()
+    clear_memos()
     kostka_multi(((2, 1),) * 6, (1,) * 18)
     assert _strip_count.cache_info().currsize <= 1000
 

@@ -16,13 +16,20 @@ from kostka.errors import (
     UnequalOrbitSizesError,
 )
 from kostka.ggg import (
+    _remainders,
     _subset_sum,
     normalize_entries,
     theta_kostka,
     theta_positive,
     zelcor_multiplicity_one,
 )
-from kostka.partitions import multipartitions_of, partitions_of
+from kostka.partitions import (
+    _dominates,
+    bounded_compositions,
+    multipartitions_of,
+    partitions_of,
+    sorted_weight,
+)
 from oracles import (
     multi_standard_count,
     schur_at_ones,
@@ -183,6 +190,26 @@ def test_theta_single_boxes_count_words():
             words = factorial(n) // prod(map(factorial, mu))
             for s in (1, 2):
                 assert theta_kostka(((s, (1,)),) * n, tuple(s * p for p in mu)) == words
+
+
+def test_remainders_match_the_checked_sort():
+    # the plain sort in _remainders gives what the public input check gives
+    # on the same tuples, candidate for candidate
+    def checked(orbit_size, shape, remaining):
+        caps = tuple(x // orbit_size for x in remaining)
+        for v in bounded_compositions(sum(shape), caps):
+            if _dominates(shape, sorted_weight(v)):
+                yield sorted_weight([x - orbit_size * y for x, y in zip(remaining, v)])
+
+    seen = 0
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            for s in (1, 2, 3):
+                for remaining in ((6, 4, 2), (9, 3), (4, 4, 4, 1), (12,)):
+                    got = list(_remainders(s, shape, remaining))
+                    assert got == list(checked(s, shape, remaining))
+                    seen += len(got)
+    assert seen > 0
 
 
 def test_subset_sum_fast_path_vs_exhaustive():
