@@ -7,6 +7,10 @@ emitted as decimal strings to avoid integer-width loss downstream.
 Predicates run with --exit-code map true to 0 and false to 1; malformed
 input exits 2 with a JSON error object on stderr.
 
+`parse_args` converts the text of every option once: each by its argparse
+`type` as it is read, and --shape right after parsing, by the form its
+subcommand reads it in.  The handlers take values.
+
 A process answers most subcommands in microseconds, so its start-up is
 its cost.  So a subcommand parses its arguments, then calls
 `kostka.<name>`, whose first use imports only the module that defines the
@@ -75,40 +79,21 @@ def tableau_json(rows):
     return {"shape": [len(r) for r in rows], "rows": [list(r) for r in rows]}
 
 
-def _json_shape(args):
-    """Whether --shape is read as JSON: always for the -multi subcommands,
-    never for the partition ones, else when it starts like JSON or @file."""
-    if args.shape_form == "auto":
-        return args.shape.lstrip().startswith(("[", "@"))
-    return args.shape_form == "json"
-
-
-def _shapes(args):
-    """--shape as a multipartition; a comma-separated partition is read as
-    the one-component case."""
-    if _json_shape(args):
-        return parse_multipartition(args.shape)
-    return (parse_partition(args.shape),)
-
-
 def _cmd_positive(args):
-    shapes, w = _shapes(args), parse_partition(args.weight)
-    ok = kostka.is_positive(shapes, w)
+    ok = kostka.is_positive(args.shape, args.weight)
     return {"positive": ok}, ok
 
 
 def _cmd_count(args):
-    shapes, w = _shapes(args), parse_partition(args.weight)
     if args.oracle:
-        n = len(kostka.enumerate_multitableaux(shapes, w))
+        n = len(kostka.enumerate_multitableaux(args.shape, args.weight))
     else:
-        n = kostka.kostka_multi(shapes, w)
+        n = kostka.kostka_multi(args.shape, args.weight)
     return {"kostka": str(n)}, None
 
 
 def _cmd_mult_one(args):
-    shapes, w = _shapes(args), parse_partition(args.weight)
-    cert = kostka.is_multiplicity_one_multi(shapes, w)
+    cert = kostka.is_multiplicity_one_multi(args.shape, args.weight)
     doc = {"multiplicity_one": cert is not None}
     if cert is not None:
         doc["certificate"] = {"indices": list(cert)}
@@ -116,17 +101,15 @@ def _cmd_mult_one(args):
 
 
 def _cmd_unique(args):
-    shapes = _shapes(args)
-    ok = kostka.unique_weight_multi(shapes)
+    ok = kostka.unique_weight_multi(args.shape)
     return {"unique_weight": ok}, ok
 
 
 def _cmd_enumerate(args):
-    shapes, w = _shapes(args), parse_partition(args.weight)
-    found = kostka.enumerate_multitableaux(shapes, w)
+    found = kostka.enumerate_multitableaux(args.shape, args.weight)
     doc = {"count": str(len(found))}
     if not args.count_only:
-        if _json_shape(args):
+        if args.json_shape:
             doc["multitableaux"] = [
                 {"components": list(map(tableau_json, mt))} for mt in found
             ]
@@ -136,12 +119,12 @@ def _cmd_enumerate(args):
 
 
 def _cmd_greedy(args):
-    (shape,), w = _shapes(args), parse_partition(args.weight)
-    return {"tableau": tableau_json(kostka.greedy_tableau(shape, w))}, None
+    (shape,) = args.shape
+    return {"tableau": tableau_json(kostka.greedy_tableau(shape, args.weight))}, None
 
 
 def _cmd_wreath(args):
-    mu = parse_partition(args.mu)
+    mu = args.mu
     constituents = kostka.decompose_permutation_character(args.r, args.d, mu)
     return {
         "params": {"r": args.r, "d": args.d, "n": sum(mu), "mu": list(mu)},
@@ -153,19 +136,16 @@ def _cmd_wreath(args):
 
 
 def _cmd_ggg_count(args):
-    entries, mu = parse_theta_entries(args.entries), parse_partition(args.mu)
-    return {"kostka": str(kostka.theta_kostka(entries, mu))}, None
+    return {"kostka": str(kostka.theta_kostka(args.entries, args.mu))}, None
 
 
 def _cmd_ggg_positive(args):
-    entries, mu = parse_theta_entries(args.entries), parse_partition(args.mu)
-    ok = kostka.theta_positive(entries, mu)
+    ok = kostka.theta_positive(args.entries, args.mu)
     return {"positive": ok}, ok
 
 
 def _cmd_ggg_mult_one(args):
-    entries, mu = parse_theta_entries(args.entries), parse_partition(args.mu)
-    ok = kostka.zelcor_multiplicity_one(entries, mu)
+    ok = kostka.zelcor_multiplicity_one(args.entries, args.mu)
     return {"multiplicity_one": ok}, ok
 
 
@@ -174,14 +154,24 @@ _SHAPE_HELP = {
     "json": "multipartition, JSON or @file",
     "auto": "partition or JSON multipartition",
 }
-_WEIGHT = {"weight": dict(required=True, help="weight composition, comma-separated")}
+# each option's text is converted by its `type` while argparse reads it
+_PARTITION = dict(required=True, type=parse_partition)
+_WEIGHT = {"weight": dict(_PARTITION, help="weight composition, comma-separated")}
 _EXIT_CODE = {"exit_code": dict(action="store_true", help="exit 0 if true, 1 if false")}
 _ORACLE = {"oracle": dict(action="store_true", help="count by enumeration instead")}
+_COUNT_ONLY = {"count_only": dict(action="store_true", help="emit the count only")}
 _THETA = {
     "entries": dict(
-        required=True, help='JSON [{"size":..,"partition":[..]},..] or @file'
+        required=True,
+        type=parse_theta_entries,
+        help='JSON [{"size":..,"partition":[..]},..] or @file',
     ),
-    "mu": dict(required=True, help="weight partition, comma-separated"),
+    "mu": dict(_PARTITION, help="weight partition, comma-separated"),
+}
+_WREATH = {
+    "r": dict(required=True, type=int, help="cyclic group order"),
+    "d": dict(required=True, type=int, help="subgroup order, divides r"),
+    "mu": dict(_PARTITION, help="partition, comma-separated"),
 }
 
 # subcommand -> (function, how --shape is read or None, its other options)
@@ -193,24 +183,9 @@ COMMANDS = {
     "mult-one-multi": (_cmd_mult_one, "json", {**_WEIGHT, **_EXIT_CODE}),
     "unique": (_cmd_unique, "comma", _EXIT_CODE),
     "unique-multi": (_cmd_unique, "json", _EXIT_CODE),
-    "enumerate": (
-        _cmd_enumerate,
-        "auto",
-        {
-            **_WEIGHT,
-            "count_only": dict(action="store_true", help="emit the count only"),
-        },
-    ),
+    "enumerate": (_cmd_enumerate, "auto", {**_WEIGHT, **_COUNT_ONLY}),
     "greedy": (_cmd_greedy, "comma", _WEIGHT),
-    "wreath-decompose": (
-        _cmd_wreath,
-        None,
-        {
-            "r": dict(required=True, type=int, help="cyclic group order"),
-            "d": dict(required=True, type=int, help="subgroup order, divides r"),
-            "mu": dict(required=True, help="partition, comma-separated"),
-        },
-    ),
+    "wreath-decompose": (_cmd_wreath, None, _WREATH),
     "ggg-count": (_cmd_ggg_count, None, _THETA),
     "ggg-positive": (_cmd_ggg_positive, None, {**_THETA, **_EXIT_CODE}),
     "ggg-mult-one": (_cmd_ggg_mult_one, None, {**_THETA, **_EXIT_CODE}),
@@ -218,7 +193,9 @@ COMMANDS = {
 
 
 def parse_args(argv=None):
-    """The namespace of one subcommand, with `func` and `shape_form` set.
+    """The namespace of one subcommand, with `func` set and every option
+    converted from its text: --shape to a multipartition, with `json_shape`
+    telling whether it was read as JSON.
 
     A first parser only picks the subcommand; only that subcommand's
     parser is built."""
@@ -237,13 +214,25 @@ def parse_args(argv=None):
         parser.add_argument("--shape", required=True, help=_SHAPE_HELP[shape])
     for option, kwargs in options.items():
         parser.add_argument("--" + option.replace("_", "-"), **kwargs)
-    parser.set_defaults(func=func, shape_form=shape)
-    return parser.parse_args(rest)
+    parser.set_defaults(func=func)
+    args = parser.parse_args(rest)
+    if shape:
+        # --shape is JSON always for the -multi subcommands, never for the
+        # partition ones, else when it starts like JSON or @file; a
+        # comma-separated partition is the one-component case
+        text = args.shape
+        starts_json = text.lstrip().startswith(("[", "@"))
+        args.json_shape = shape == "json" or (shape == "auto" and starts_json)
+        if args.json_shape:
+            args.shape = parse_multipartition(text)
+        else:
+            args.shape = (parse_partition(text),)
+    return args
 
 
 def main(argv=None):
-    args = parse_args(argv)
     try:
+        args = parse_args(argv)
         doc, verdict = args.func(args)
     except KostkaError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}

@@ -114,7 +114,7 @@ def sort_to_partition(w):
     """
     w = composition(w)
     order = tuple(sorted(range(len(w)), key=w.__getitem__, reverse=True))
-    return sorted_weight(w), order
+    return tuple(w[i] for i in order if w[i]), order
 
 
 def sorted_weight(w):

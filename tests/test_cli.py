@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kostka.cli import main
+from kostka.cli import COMMANDS, main
 from kostka.counting import kostka
 from kostka.tableaux import is_semistandard, weight
 
@@ -213,6 +213,41 @@ def test_parse_error_exits_two(capsys):
     assert err["error"]["type"] == "ParseError"
     code, _, err = run(capsys, "count-multi", "--shape", "not json", "--weight", "1")
     assert code == 2
+    assert err["error"]["type"] == "ParseError"
+
+
+# a good and a malformed text for each option that takes text; --shape by
+# its subcommand's form
+GOOD = {"weight": "1,1,1", "mu": "2,1", "entries": '[{"size":1,"partition":[1]}]'}
+GOOD_SHAPE = {"comma": "2,1", "json": "[[2,1]]", "auto": "2,1"}
+BAD = {"weight": "1,x", "mu": "2.5", "entries": "not json"}
+BAD_SHAPE = {"comma": "[[2,1]]", "json": "2,1", "auto": "[[2,1]"}
+# read by int: bad text there is argparse's usage error, not a ParseError
+NUMBERS = {"r": "2", "d": "1"}
+
+
+def _text_option_cases():
+    for sub, (_, form, options) in COMMANDS.items():
+        good = {"shape": GOOD_SHAPE[form]} if form else {}
+        bad = {"shape": BAD_SHAPE[form]} if form else {}
+        for option, kwargs in options.items():
+            if option in NUMBERS:
+                good[option] = NUMBERS[option]
+            elif kwargs.get("action") != "store_true":
+                good[option], bad[option] = GOOD[option], BAD[option]
+        for option, text in bad.items():
+            values = {**good, option: text}
+            argv = [sub]
+            for name, value in values.items():
+                argv += ["--" + name, value]
+            yield pytest.param(argv, id=f"{sub} --{option}")
+
+
+@pytest.mark.parametrize("argv", _text_option_cases())
+def test_every_text_option_refuses_bad_text(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out is None
     assert err["error"]["type"] == "ParseError"
 
 

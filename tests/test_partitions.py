@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kostka import partitions
 from kostka.errors import (
     NegativeEntryError,
     NonIntegerEntryError,
@@ -152,6 +153,18 @@ def test_sort_to_partition_examples():
     assert perm == (0, 1, 2, 3)
     p, _ = sort_to_partition((0, 0))
     assert p == ()
+
+
+def test_sort_to_partition_checks_its_input_once(monkeypatch):
+    calls = []
+
+    def counted(raw):
+        calls.append(raw)
+        return integers(raw)
+
+    monkeypatch.setattr(partitions, "integers", counted)
+    assert sort_to_partition([1, 3, 0, 2]) == ((3, 2, 1), (1, 3, 0, 2))
+    assert len(calls) == 1
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), max_size=8))
