@@ -5,7 +5,8 @@ underlying operation requires it, delegates to the library, and
 serializes the result as a single JSON document on stdout.  Counts are
 emitted as decimal strings to avoid integer-width loss downstream.
 Predicates run with --exit-code map true to 0 and false to 1; malformed
-input exits 2 with a JSON error object on stderr.
+input exits 2 with a JSON error object on stderr.  A reader that closes
+stdout early, as `head` does, also gets exit 2, and no traceback.
 
 `parse_args` converts the text of every option once: each by its argparse
 `type` as it is read, and --shape right after parsing, by the form its
@@ -20,6 +21,7 @@ most of the time it takes to build a parser on gettext look-ups.
 
 import argparse
 import json
+import os
 import sys
 
 import kostka
@@ -238,7 +240,14 @@ def main(argv=None):
         error = {"type": type(exc).__name__, "message": str(exc)}
         print(json.dumps({"error": error}), file=sys.stderr)
         return 2
-    print(json.dumps(doc))
+    try:
+        print(json.dumps(doc), flush=True)
+    except BrokenPipeError:
+        # the reader stopped early, as `head` does: point stdout at devnull
+        # so that the flush at exit cannot raise again, and exit 2, which
+        # is neither verdict
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     if getattr(args, "exit_code", False) and verdict is not None:
         return 0 if verdict else 1
     return 0

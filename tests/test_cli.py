@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +357,49 @@ def test_usage_errors_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: kostka")
+
+
+CLI = [sys.executable, "-m", "kostka.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
+def test_a_reader_that_stops_early_gets_exit_two_and_no_traceback():
+    # 15 015 tableaux, about 1.3 MB of JSON: far more than a pipe holds, so
+    # the CLI is still writing when the reader closes after 20 bytes
+    argv = ["enumerate", "--shape", "5,4,3,1", "--weight", ",".join("1" * 13)]
+    with subprocess.Popen(
+        CLI + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV
+    ) as proc:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert head == b'{"count": "15015", "'
+    assert err == b""
+
+
+def test_a_closed_stdout_gets_exit_two_and_no_traceback():
+    # the read end is closed before the CLI starts, so writing even a short
+    # document meets a broken pipe whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            CLI + ["count", "--shape", "2,1", "--weight", "2,1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=CLI_ENV, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+
+
+def test_a_process_without_stdout_answers_quietly():
+    # started with descriptor 1 closed, as by `>&-`: sys.stdout is None,
+    # so print writes nothing, and there is nothing to flush either
+    script = 'exec "$0" -m kostka.cli count --shape 2,1 --weight 2,1 >&-'
+    proc = subprocess.run(
+        ["sh", "-c", script, sys.executable], stderr=subprocess.PIPE, env=CLI_ENV, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""

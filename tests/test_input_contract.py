@@ -46,6 +46,7 @@ from kostka.errors import (
     NonMonotoneError,
     SizeMismatchError,
 )
+from kostka import partitions
 from kostka.partitions import composition, normalize, sorted_weight
 from kostka.tableaux import multi_weight
 
@@ -215,18 +216,98 @@ def _build(container, entries):
     return {"tuple": tuple, "list": list}[container](entries)
 
 
+def _warm(container, entries):
+    """Put into the memo of checked tuples the canonical tuples of plain
+    ints equal to the input, or to its partition, when its entries are
+    numbers: (2, 1) for (2.0, 1), (1, 1) for (True, 1), and the int values
+    of IntEnum members."""
+    if container == "scalar" or not all(isinstance(e, (int, float)) for e in entries):
+        return
+    twin = tuple(map(int, entries))
+    for t in (twin, tuple(sorted(filter(None, twin), reverse=True))):
+        for check in CHECKS.values():
+            try:
+                check(t)
+            except KostkaError:
+                pass
+
+
+def _assert_matches(check, raw, expected, kind):
+    if isinstance(expected, type):
+        with pytest.raises(KostkaError) as info:
+            check(raw)
+        assert type(info.value) is expected, kind
+    else:
+        got = check(raw)
+        assert type(got) is tuple and got == expected, kind
+        assert all(type(e) is int for e in got), kind
+
+
 @given(RAW)
 def test_entry_checks_match_the_reference(raw):
+    """Each check, cold and again once the memo holds the equal canonical
+    tuples; a repeated call on one input may take the memo's path."""
     for kind, check in CHECKS.items():
         expected = checked_entries(_build(*raw), kind)
-        if isinstance(expected, type):
-            with pytest.raises(KostkaError) as info:
-                check(_build(*raw))
-            assert type(info.value) is expected, kind
-        else:
-            got = check(_build(*raw))
-            assert type(got) is tuple and got == expected, kind
-            assert all(type(e) is int for e in got), kind
+        for warm in (False, True):
+            if warm:
+                _warm(*raw)
+            once = _build(*raw)
+            _assert_matches(check, once, expected, kind)
+            if raw[0] != "generator":  # a generator is read only once
+                _assert_matches(check, once, expected, kind)
+
+
+@pytest.mark.parametrize("check", [normalize, sorted_weight])
+@pytest.mark.parametrize("raw", [None, 5])
+def test_non_iterables_raise_with_a_warm_memo(check, raw):
+    normalize((3, 1))
+    assert partitions._CHECKED
+    with pytest.raises(NonIntegerEntryError):
+        check(raw)
+
+
+class Parts(tuple):
+    pass
+
+
+@pytest.mark.parametrize("check", [normalize, sorted_weight])
+@pytest.mark.parametrize("make", [list, Parts])
+def test_only_exact_tuples_are_remembered(check, make):
+    stored = (3, 1)
+    assert check(stored) is stored and partitions._CHECKED[id(stored)] is stored
+    twin = make(stored)
+    got = check(twin)
+    assert type(got) is tuple and got == stored and got is not stored
+    assert id(twin) not in partitions._CHECKED
+
+
+CAP, PARTS, PART = partitions._CHECKED_CAP, partitions._CHECKED_PARTS, partitions._CHECKED_PART
+
+
+def test_the_memo_stays_bounded():
+    for i in range(1, 10 * CAP + 1):
+        t = (i,) * (PARTS + 1 if i % 7 == 0 else 1 + i % PARTS)
+        assert normalize(t) is t and sorted_weight(t) is t
+        assert len(partitions._CHECKED) <= CAP
+    assert all(len(t) <= PARTS for t in partitions._CHECKED.values())
+
+
+@pytest.mark.parametrize("check", [normalize, sorted_weight])
+@pytest.mark.parametrize(
+    "t, kept",
+    [
+        ((1,) * PARTS, True),
+        ((1,) * (PARTS + 1), False),
+        ((PART - 1, 1), True),
+        ((PART, 1), False),
+        ((), True),
+    ],
+)
+def test_long_tuples_and_huge_parts_are_not_remembered(check, t, kept):
+    partitions._CHECKED.clear()
+    assert check(t) is t
+    assert (partitions._CHECKED.get(id(t)) is t) is kept
 
 
 @given(st.lists(st.integers(0, 5), max_size=8))
@@ -235,3 +316,4 @@ def test_canonical_tuples_come_back_as_themselves(entries):
     assert composition(w) is w
     lam = tuple(sorted(filter(None, entries), reverse=True))
     assert normalize(lam) is lam
+    assert sorted_weight(lam) is lam
